@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -110,32 +111,51 @@ size_t ResolveShards(uint32_t requested, const ThreadPool* pool) {
   return std::max<size_t>(shards, 1);
 }
 
+// One seed's Shrink (SEACD) + Refine on `state`; returns the refined
+// affinity. A pure function of (gd_plus, seed, options): the reset is exact,
+// so the descent runs bit-identically on any thread and any state.
+double DescendSeed(AffinityState* state, VertexId seed,
+                   const DcsgaOptions& inner, uint64_t* cd_iterations) {
+  state->ResetToVertex(seed);
+  *cd_iterations += RunSeacdInPlace(state, inner.seacd).cd_iterations;
+  const RefinementRunStats refined =
+      RefineInPlace(state, inner.refinement_descent);
+  *cd_iterations += refined.cd_iterations;
+  return refined.affinity;
+}
+
 // Seed-sharded multi-init (the parallel Algorithm 5 loop).
 //
 // `order` is the μ-descending seed order. Contiguous chunks of it are handed
-// out through an atomic cursor; every shard owns an AffinityState (reset is
-// exact, so each seed's Shrink/Expand/Refine is a pure function of
-// (gd_plus, seed, options) and runs bit-identically on any thread).
+// out through an atomic cursor, and every shard owns an AffinityState.
+// Shards skip a seed when μ_u < best_lb, the best refined affinity any
+// shard has published so far. That is only a work filter, not the answer:
+// μ_u bounds the affinity of the clique SEACD reaches from u, but not what
+// refinement makes of it, so a seed can refine above its own μ. Shards
+// therefore descend seeds the sequential `μ_u ≤ running best` stop never
+// reaches, and such a seed can win — or raise best_lb past seeds the
+// sequential loop does descend.
 //
-// Pruning is the *strict* form of Theorem 6: a seed is skipped only when
-// μ_u < best_lb. Sequential pruning (μ_u ≤ running best, in order) can skip
-// a seed whose μ equals the final best F; but such a seed satisfies
-// refined(u) ≤ μ_u ≤ F and sits after the sequential winner in μ-order, so
-// under the (max affinity, earliest order position) reduction it can never
-// displace the winner — while the strict bound guarantees every seed with
-// refined == F (μ ≥ refined == F ≥ best_lb) is descended from. Hence the
-// reduction returns exactly the sequential winner: the earliest seed
-// achieving the global best affinity, with its bit-identical embedding.
+// The answer is the sequential loop's by construction: each shard records
+// the refined affinity of every position it descended, and after the
+// parallel phase the sequential rule is replayed in μ-order — stop at the
+// first μ_u ≤ running best, take a recorded affinity or descend a position
+// the shards skipped, and improve on strict `>`. The winner's embedding is
+// a shard's kept best when one holds it, and is re-descended once
+// otherwise. Every descent is exact, so the result is bit-identical to the
+// sequential one.
 DcsgaResult RunNewSeaSharded(const Graph& gd_plus,
                              const SmartInitBounds& bounds,
                              const std::vector<VertexId>& order,
                              const DcsgaOptions& inner, size_t shards,
                              ThreadPool* pool) {
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
   struct ShardState {
-    uint64_t initializations = 0;
     uint64_t cd_iterations = 0;
+    // (order position, refined affinity) of every seed this shard descended.
+    std::vector<std::pair<size_t, double>> descended;
     double best_affinity = 0.0;
-    size_t best_pos = std::numeric_limits<size_t>::max();
+    size_t best_pos = kNone;
     Embedding best_x;
   };
   // Chunked hand-out. Small chunks win here: a descent costs microseconds
@@ -172,52 +192,80 @@ DcsgaResult RunNewSeaSharded(const Graph& gd_plus,
       for (size_t pos = begin; pos < end; ++pos) {
         const VertexId seed = order[pos];
         const double mu = bounds.mu[seed];
-        // Strict comparison — see the function comment. μ ≤ 0 seeds cannot
-        // beat the trivial solution (refined ≤ μ) and are always skipped.
+        // μ ≤ 0 seeds never pass the sequential stop (the running best
+        // starts at the trivial solution's 0).
         if (mu <= 0.0 || mu < best_lb.load(std::memory_order_relaxed)) {
           continue;
         }
-        ++local.initializations;
-        state.ResetToVertex(seed);
-        const SeacdRunStats shrink = RunSeacdInPlace(&state, inner.seacd);
-        local.cd_iterations += shrink.cd_iterations;
-        const RefinementRunStats refined =
-            RefineInPlace(&state, inner.refinement_descent);
-        local.cd_iterations += refined.cd_iterations;
-        if (refined.affinity > local.best_affinity ||
-            (refined.affinity == local.best_affinity &&
-             pos < local.best_pos)) {
-          local.best_affinity = refined.affinity;
+        const double affinity =
+            DescendSeed(&state, seed, inner, &local.cd_iterations);
+        local.descended.emplace_back(pos, affinity);
+        if (affinity > local.best_affinity ||
+            (affinity == local.best_affinity && pos < local.best_pos)) {
+          local.best_affinity = affinity;
           local.best_pos = pos;
           local.best_x = state.ToEmbedding();
         }
-        FetchMax(&best_lb, refined.affinity);
+        FetchMax(&best_lb, affinity);
       }
     }
   });
 
   DcsgaResult result = TrivialResult(gd_plus);
-  ShardState* winner = nullptr;
+  // A fired token aborts the solve; the caller reports Status::Cancelled.
+  if (inner.cancel != nullptr && inner.cancel->cancelled()) return result;
+  std::vector<std::pair<size_t, double>> descended;
   for (ShardState& local : locals) {
-    result.initializations += local.initializations;
     result.cd_iterations += local.cd_iterations;
-    // Mirrors the sequential loop's strict improvement test: a seed whose
-    // refined affinity is exactly 0 never replaces the trivial solution.
-    if (local.best_pos == std::numeric_limits<size_t>::max() ||
-        local.best_affinity <= 0.0) {
-      continue;
+    descended.insert(descended.end(), local.descended.begin(),
+                     local.descended.end());
+  }
+  std::sort(descended.begin(), descended.end());
+  result.initializations = descended.size();
+
+  // Replay the sequential rule over the recorded affinities.
+  std::optional<AffinityState> state;  // only for seeds the shards skipped
+  auto descend = [&](size_t pos) {
+    if (!state) {
+      state.emplace(gd_plus);
+      state->set_fast_math(inner.fast_math);
     }
-    if (winner == nullptr || local.best_affinity > winner->best_affinity ||
-        (local.best_affinity == winner->best_affinity &&
-         local.best_pos < winner->best_pos)) {
-      winner = &local;
+    return DescendSeed(&*state, order[pos], inner, &result.cd_iterations);
+  };
+  size_t winner = kNone;
+  bool have_x = false;  // result.x already holds the winner's embedding
+  auto recorded = descended.begin();
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    if (bounds.mu[order[pos]] <= result.affinity) break;  // Theorem 6 stop
+    double affinity = 0.0;
+    const bool shard_descended =
+        recorded != descended.end() && recorded->first == pos;
+    if (shard_descended) {
+      affinity = (recorded++)->second;
+    } else {
+      affinity = descend(pos);
+      ++result.initializations;
+    }
+    if (affinity > result.affinity) {
+      result.affinity = affinity;
+      winner = pos;
+      have_x = !shard_descended;
+      if (have_x) result.x = state->ToEmbedding();
     }
   }
-  if (winner != nullptr) {
-    result.affinity = winner->best_affinity;
-    result.x = std::move(winner->best_x);
-    result.support = result.x.Support();
+  if (winner != kNone && !have_x) {
+    const auto kept =
+        std::find_if(locals.begin(), locals.end(), [winner](const auto& local) {
+          return local.best_pos == winner;
+        });
+    if (kept != locals.end()) {
+      result.x = std::move(kept->best_x);
+    } else {
+      descend(winner);
+      result.x = state->ToEmbedding();
+    }
   }
+  if (winner != kNone) result.support = result.x.Support();
   result.pruned_seeds = order.size() - result.initializations;
   return result;
 }

@@ -3,40 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "util/byte_codec.h"
+
 namespace dcs {
 
 namespace {
-
-void AppendU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-bool ReadU32(std::span<const uint8_t> bytes, size_t* cursor, uint32_t* v) {
-  if (bytes.size() - *cursor < 4) return false;
-  std::memcpy(v, bytes.data() + *cursor, 4);
-  *cursor += 4;
-  return true;
-}
-
-bool ReadU64(std::span<const uint8_t> bytes, size_t* cursor, uint64_t* v) {
-  if (bytes.size() - *cursor < 8) return false;
-  std::memcpy(v, bytes.data() + *cursor, 8);
-  *cursor += 8;
-  return true;
-}
 
 Status Truncated() {
   return Status::InvalidArgument("graph payload truncated");

@@ -5,10 +5,10 @@
 // Every in-memory scale layer (the shared PipelineCache, the O(Δ)-patched
 // artifacts) dies with the process; a service restarting under traffic pays
 // a full cold rebuild storm for every graph pair. The store closes that gap
-// in the single-file storage-engine style: a fixed superblock (magic, format
-// version, endianness tag, its own checksum), then an append-mostly log of
-// record pages, each framed by a header carrying a 64-bit checksum
-// (util/checksum.h) of its payload. Two record types exist: CSR graphs
+// in the single-file storage-engine style of store/page_file.h — a
+// self-checksummed superblock under the magic "DCSSTOR1", then an
+// append-mostly log of record pages, each framed by a header carrying a
+// 64-bit checksum of its payload. Two record types exist: CSR graphs
 // (graph/serialize.h) keyed by Graph::ContentFingerprint, and
 // PreparedPipeline contents (difference graph, GD+, smart-init bounds with
 // the cached seed order) keyed by their full PipelineCacheKey.
@@ -32,13 +32,14 @@
 // fresh page and the directory points at the newest valid record per key.
 //
 // Concurrency: all methods are thread-safe (one internal mutex over the
-// directory and file descriptor). Across processes, every file read/write
-// holds a BSD advisory lock (flock: shared for reads, exclusive for
-// appends), so N processes may serve one store file — appends never
-// interleave and a reader never observes a half-written page that was
-// appended under the lock. Asynchronous write-back (PutPipelineAsync) runs
-// on an owned background thread so a mining hot path never blocks on disk;
-// Flush() drains it, and the destructor drains before closing.
+// directory and the page file). Across processes the page file's flock
+// protocol applies, so N processes may serve one store file: appends never
+// interleave, a reader never observes a half-written page, and a repair
+// re-checks the file under the exclusive lock, so it never discards another
+// handle's records (store/page_file.h). Asynchronous write-back
+// (PutPipelineAsync) runs on an owned background thread so a mining hot path
+// never blocks on disk; Flush() drains it, and the destructor drains before
+// closing.
 //
 // Determinism: payloads carry exact IEEE-754 bit patterns, so an artifact
 // loaded from the store is bit-identical to the one written — a
@@ -61,6 +62,7 @@
 
 #include "api/pipeline_cache.h"
 #include "graph/graph.h"
+#include "store/page_file.h"
 #include "util/status.h"
 
 namespace dcs {
@@ -106,30 +108,20 @@ struct ArtifactStoreStats {
   /// Transient I/O attempts that were retried (reads and writes, including
   /// retries that ultimately failed).
   uint64_t io_retries = 0;
-  /// Bytes the opening scan discarded as an unreliable tail.
+  /// Bytes appends through this handle discarded: an unreliable tail cut
+  /// back to the last frame that still verifies, or a whole untrusted file
+  /// rewritten from scratch. The opening scan itself never modifies the file.
   uint64_t truncated_tail_bytes = 0;
   /// Current file size in bytes.
   uint64_t file_bytes = 0;
 };
 
-/// One indexed record page, for `dcs_store ls` and tests.
-struct ArtifactRecordInfo {
-  uint32_t type = 0;  ///< 1 = graph, 2 = pipeline
-  uint64_t key = 0;   ///< content fingerprint (graph) or key hash (pipeline)
-  uint64_t offset = 0;
-  uint64_t payload_bytes = 0;
-};
+/// One indexed record page, for `dcs_store ls` and tests: type 1 = graph
+/// (key = content fingerprint), 2 = pipeline (key = key hash).
+using ArtifactRecordInfo = PageRecordInfo;
 
 /// Offline integrity report, for `dcs_store fsck/stat`.
-struct ArtifactFsckReport {
-  bool superblock_ok = false;
-  uint32_t format_version = 0;
-  uint64_t valid_records = 0;
-  uint64_t corrupt_pages = 0;
-  /// Bytes past the last valid record (the tail a writer would truncate).
-  uint64_t unreliable_tail_bytes = 0;
-  uint64_t file_bytes = 0;
-};
+using ArtifactFsckReport = PageFsckReport;
 
 /// \brief Single-file, checksummed, fingerprint-keyed store of graphs and
 /// prepared pipelines. See the file comment for the trust, concurrency and
@@ -139,6 +131,14 @@ class ArtifactStore {
   /// Current on-disk format version; a file with a newer version is treated
   /// as unreadable (rebuild-and-overwrite), never half-parsed.
   static constexpr uint32_t kFormatVersion = 1;
+
+  /// Record type tags, as stored in the page header.
+  static constexpr uint32_t kGraphRecord = 1;
+  static constexpr uint32_t kPipelineRecord = 2;
+
+  /// The store's page-file format: magic "DCSSTOR1", kFormatVersion, record
+  /// types kGraphRecord..kPipelineRecord.
+  static const PageFormat kPageFormat;
 
   /// \brief Opens (or creates) the store at `path`, validates the
   /// superblock, and indexes every valid record.
@@ -217,56 +217,36 @@ class ArtifactStore {
   static Result<ArtifactFsckReport> Fsck(const std::string& path);
 
  private:
-  struct IndexEntry {
-    uint64_t offset = 0;         // of the record header
-    uint64_t payload_bytes = 0;
-    uint32_t type = 0;
-  };
   struct PendingWrite {
     PipelineCacheKey key;
     std::shared_ptr<const PreparedPipeline> pipeline;
   };
 
-  ArtifactStore(std::string path, ArtifactStoreOptions options, int fd);
+  ArtifactStore(std::string path, ArtifactStoreOptions options);
 
-  // Walks the page-header chain from the superblock on, building the index
-  // structurally (payload checksums are left to load time); counts broken
-  // frames and records where the reliable prefix ends. Mutex held.
-  void ScanLocked();
-  // Appends one framed record (header + payload) under the exclusive file
-  // lock, truncating any unreliable tail first. Mutex held.
+  // Appends one record page, then fsyncs under sync_writes. Mutex held.
   Status AppendLocked(uint32_t type, uint64_t key, const std::string& payload);
-  // Reads and verifies the payload of `entry` (shared file lock +
-  // checksum); a failure counts a corrupt page and de-indexes the record
-  // and everything after it so the next append truncates the rot. Mutex
-  // held.
-  Status ReadPayloadLocked(uint64_t expected_key, const IndexEntry& entry,
+  // Reads and verifies the payload of `entry`; a failure counts a corrupt
+  // page and de-indexes the record and everything after it so the next
+  // append truncates the rot. Mutex held.
+  Status ReadPayloadLocked(const ArtifactRecordInfo& entry,
                            std::vector<uint8_t>* payload);
-  // Re-creates an empty, superblock-only file. Mutex held.
-  Status ResetFileLocked();
-  // Background thread: drains pending_writes_ through AppendLocked.
+  // Background thread: drains pending_writes_ through PutPipeline.
   void WriterLoop();
 
   const std::string path_;
   const ArtifactStoreOptions options_;
 
   mutable std::mutex mutex_;
-  int fd_ = -1;
-  // Newest valid record per (type, key); key uses the record header key.
-  std::unordered_map<uint64_t, IndexEntry> graphs_;
-  std::unordered_map<uint64_t, IndexEntry> pipelines_;
-  // First byte past the last record this handle knows to be valid; appends
-  // truncate the file here when the opening scan found a corrupt tail.
-  uint64_t reliable_end_ = 0;
-  bool tail_unreliable_ = false;
-  // Stats (mutex-guarded).
+  std::unique_ptr<PageFile> file_;
+  // Newest valid record per (type, key), fed by file_'s frame sink.
+  std::unordered_map<uint64_t, ArtifactRecordInfo> graphs_;
+  std::unordered_map<uint64_t, ArtifactRecordInfo> pipelines_;
+  // Stats (mutex-guarded); the I/O counters live in file_.
   uint64_t corrupt_pages_ = 0;
-  uint64_t appended_records_ = 0;
   uint64_t loads_ = 0;
   uint64_t load_misses_ = 0;
   uint64_t write_errors_ = 0;
-  uint64_t io_retries_ = 0;
-  uint64_t truncated_tail_bytes_ = 0;
   // Most recent async write-back failure (mutex_-guarded, like the stats).
   Status last_write_error_;
 

@@ -12,16 +12,17 @@
 // are re-exposed through Poll/Wait without re-running (exactly-once),
 // incomplete jobs are resubmitted in their original admission order.
 //
-// On-disk format: the PR 6 page format, under its own magic. A fixed
-// 32-byte superblock (magic "DCSJRNL1", format version, endianness tag, its
-// own checksum) followed by an append-only log of record frames, each a
-// 32-byte page header (magic, record type, job id as the key, payload size,
-// util/checksum.h payload checksum) plus the payload. The file is *never*
-// trusted: Open walks the frame chain structurally and stops at the first
-// broken frame; Replay re-verifies every payload checksum and parses every
-// payload defensively, so torn tails and corrupt frames read as absent, and
-// the next append truncates the unreliable tail away. Cross-process
-// exclusion uses the same advisory flock discipline as the store.
+// On-disk format: the page-file format of store/page_file.h, the same as
+// the artifact store's, under the superblock magic "DCSJRNL1": a
+// self-checksummed superblock, then an append-only log of record frames
+// whose page header carries the record type, the job id as the key and a
+// payload checksum. The file is *never* trusted: Open walks the frame chain
+// structurally and stops at the first broken frame; Replay re-verifies
+// every payload checksum and parses every payload defensively, so torn
+// tails and corrupt frames read as absent, and the next append (or
+// TruncateUnreliableTail) truncates the unreliable tail away. Cross-process
+// exclusion is the page file's flock protocol, whose repair re-checks the
+// file under the exclusive lock, so no handle discards another's records.
 //
 // Durability: JournalDurability::kAlways fsyncs inside every append — an
 // acked Submit survives power loss. kGroupCommit marks the file dirty and
@@ -52,6 +53,7 @@
 #include <vector>
 
 #include "api/mining.h"
+#include "store/page_file.h"
 #include "util/status.h"
 
 namespace dcs {
@@ -104,24 +106,11 @@ struct JobJournalStats {
 };
 
 /// One structurally valid record frame, for `dcs_store journal ls` and
-/// tests.
-struct JournalRecordInfo {
-  uint32_t type = 0;  ///< 1 = admitted, 2 = started, 3 = done
-  uint64_t job_id = 0;
-  uint64_t offset = 0;
-  uint64_t payload_bytes = 0;
-};
+/// tests: type 1 = admitted, 2 = started, 3 = done; key = job id.
+using JournalRecordInfo = PageRecordInfo;
 
 /// Offline integrity report, for `dcs_store journal fsck/stat`.
-struct JournalFsckReport {
-  bool superblock_ok = false;
-  uint32_t format_version = 0;
-  uint64_t valid_records = 0;
-  uint64_t corrupt_pages = 0;
-  /// Bytes past the last valid record (the tail a writer would truncate).
-  uint64_t unreliable_tail_bytes = 0;
-  uint64_t file_bytes = 0;
-};
+using JournalFsckReport = PageFsckReport;
 
 /// The terminal state a Done record carries. Mirrors the terminal half of
 /// JobState (api/mining_service.h) without depending on it — the journal
@@ -183,6 +172,10 @@ class JobJournal {
   static constexpr uint32_t kAdmittedRecord = 1;
   static constexpr uint32_t kStartedRecord = 2;
   static constexpr uint32_t kDoneRecord = 3;
+
+  /// The journal's page-file format: magic "DCSJRNL1", kFormatVersion,
+  /// record types kAdmittedRecord..kDoneRecord.
+  static const PageFormat kPageFormat;
 
   /// \brief Opens (or creates) the journal at `path`, validates the
   /// superblock and walks the frame chain structurally. A bad superblock
@@ -252,26 +245,11 @@ class JobJournal {
   static uint64_t ResponseFingerprint(const MiningResponse& response);
 
  private:
-  struct FrameInfo {
-    uint64_t offset = 0;
-    uint64_t payload_bytes = 0;
-    uint32_t type = 0;
-    uint64_t job_id = 0;
-  };
+  JobJournal(std::string path, JobJournalOptions options);
 
-  JobJournal(std::string path, JobJournalOptions options, int fd);
-
-  // Structural walk of the frame chain (superblock + headers, payloads
-  // untouched); fills frames_ and the reliable-end watermark. Mutex held.
-  void ScanLocked();
-  // Appends one framed record under the exclusive file lock, truncating any
-  // unreliable tail first; applies the durability policy. Mutex held.
+  // Appends one framed record and applies the durability policy. Mutex held.
   Status AppendLocked(uint32_t type, uint64_t job_id,
                       const std::string& payload);
-  // ftruncate away an unreliable tail (mutex and exclusive flock held).
-  Status TruncateTailLocked();
-  // Re-creates an empty, superblock-only file. Mutex held.
-  Status ResetFileLocked();
   // fsync with the journal.fsync fault site; clears dirty_. Mutex held.
   Status SyncLocked();
   // Background group-commit flusher.
@@ -281,23 +259,18 @@ class JobJournal {
   const JobJournalOptions options_;
 
   mutable std::mutex mutex_;
-  int fd_ = -1;
-  // Structurally valid frames in file order (the journal is a log, not a
-  // directory — every frame stays reachable for Replay/ListRecords).
-  std::vector<FrameInfo> frames_;
-  uint64_t reliable_end_ = 0;
-  bool tail_unreliable_ = false;
+  std::unique_ptr<PageFile> file_;
+  // Structurally valid frames in file order, fed by file_'s frame sink (the
+  // journal is a log, not a directory — every frame stays reachable for
+  // Replay/ListRecords).
+  std::vector<JournalRecordInfo> frames_;
   bool dirty_ = false;  // written but not yet fsynced (group commit)
-  // Stats (mutex-guarded).
+  // Stats (mutex-guarded); the I/O counters live in file_.
   uint64_t admitted_records_ = 0;
   uint64_t started_records_ = 0;
   uint64_t done_records_ = 0;
-  uint64_t appended_records_ = 0;
   uint64_t fsyncs_ = 0;
   uint64_t corrupt_pages_ = 0;
-  uint64_t truncations_ = 0;
-  uint64_t truncated_tail_bytes_ = 0;
-  uint64_t io_retries_ = 0;
 
   // Group-commit flusher.
   std::condition_variable flusher_cv_;

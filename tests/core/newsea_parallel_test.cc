@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/newsea.h"
@@ -219,6 +221,45 @@ TEST(NewSeaParallelTest, UnfiredTokenKeepsResultsBitIdentical) {
     EXPECT_EQ(run->support, reference->support) << threads << " threads";
     EXPECT_EQ(run->x.x, reference->x.x) << threads << " threads";
   }
+}
+
+// Regression for a seed that refines above its own μ bound: on this input
+// (the first tenant of the serve_mixed benchmark at seed 208) refinement
+// lifts some seed's affinity past μ_u, so shards descend seeds the
+// sequential μ-stop never reaches and can publish a bound that makes them
+// skip seeds it does reach. The sharded result must still be the
+// sequential one, on every one of many racy runs.
+TEST(NewSeaParallelTest, SeedRefiningAboveItsBoundStaysBitIdentical) {
+  Rng rng(208 * 1'000'003ull + 31);
+  CoauthorConfig config;
+  config.num_authors = 4000;
+  config.emerging_sizes = {4, 7};
+  config.disappearing_sizes = {6, 2, 8};
+  Result<CoauthorData> data = GenerateCoauthorData(config, &rng);
+  ASSERT_TRUE(data.ok());
+  Result<Graph> gd = BuildDifferenceGraph(data->g1, data->g2, /*alpha=*/1.0);
+  ASSERT_TRUE(gd.ok());
+  const Graph gd_plus = gd->PositivePart();
+  const SmartInitBounds bounds = ComputeSmartInitBounds(gd_plus);
+  Result<DcsgaResult> reference = RunNewSea(gd_plus, bounds, DcsgaOptions{});
+  ASSERT_TRUE(reference.ok());
+
+  // Transient pools: fresh worker threads each run vary the interleaving
+  // more than one long-lived pool does.
+  DcsgaOptions options;
+  options.parallelism = 4;
+  int diverged = 0;
+  for (int run = 0; run < 300; ++run) {
+    Result<DcsgaResult> sharded = RunNewSea(gd_plus, bounds, options);
+    ASSERT_TRUE(sharded.ok());
+    if (std::bit_cast<uint64_t>(sharded->affinity) !=
+            std::bit_cast<uint64_t>(reference->affinity) ||
+        sharded->support != reference->support ||
+        sharded->x.x != reference->x.x) {
+      ++diverged;
+    }
+  }
+  EXPECT_EQ(diverged, 0) << "of 300 sharded runs";
 }
 
 }  // namespace

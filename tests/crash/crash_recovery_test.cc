@@ -19,6 +19,7 @@
 // crash the *recover* run mid-replay, then rerun it clean.
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
@@ -55,9 +56,17 @@ struct RecoverReport {
   bool fsck_clean = false;
 };
 
+// Scratch files carry the test process's pid: ctest runs the two tests of
+// this binary as separate processes, possibly at the same time, and both
+// build the shared control run — without the pid they would write one
+// journal and one output file concurrently and read each other's results.
+std::string ScratchPath(const std::string& stem, const std::string& suffix) {
+  return ::testing::TempDir() + stem + "_" + std::to_string(getpid()) +
+         suffix;
+}
+
 WorkerRun RunWorker(const std::string& args, const std::string& tag) {
-  const std::string out_path =
-      ::testing::TempDir() + "crash_worker_" + tag + ".out";
+  const std::string out_path = ScratchPath("crash_worker_" + tag, ".out");
   const std::string cmd = std::string(DCS_CRASH_WORKER_PATH) + " " + args +
                           " > " + out_path + " 2>&1";
   const int status = std::system(cmd.c_str());
@@ -74,6 +83,7 @@ WorkerRun RunWorker(const std::string& args, const std::string& tag) {
   std::stringstream buffer;
   buffer << file.rdbuf();
   run.out = buffer.str();
+  std::remove(out_path.c_str());
   return run;
 }
 
@@ -115,7 +125,7 @@ std::string InjectArg(const std::string& site, int hit) {
 }
 
 std::string JournalPath(const std::string& tag) {
-  const std::string path = ::testing::TempDir() + "crash_journal_" + tag + ".dcsj";
+  const std::string path = ScratchPath("crash_journal_" + tag, ".dcsj");
   std::remove(path.c_str());
   return path;
 }

@@ -482,5 +482,94 @@ TEST(ArtifactStoreTest, ListRecordsOffsetAscending) {
   EXPECT_LT(records[1].offset, records[2].offset);
 }
 
+// Two handles open one still-empty file. The one that appends second must
+// adopt the first one's record, not rewrite the file over it.
+TEST(ArtifactStoreTest, HandleOpenedOnEmptyFileKeepsOtherHandlesRecords) {
+  const std::string path = StorePath("late_first_append");
+  std::filesystem::remove(path);
+  auto first = OpenOrDie(path);
+  auto second = OpenOrDie(path);
+  ASSERT_TRUE(second->PutGraph(Fig1G1()).ok());
+  ASSERT_TRUE(first->PutGraph(Fig1G2()).ok());
+  EXPECT_EQ(first->stats().graph_records, 2u);
+  EXPECT_EQ(first->stats().truncated_tail_bytes, 0u);
+  EXPECT_TRUE(first->LoadGraph(Fig1G1().ContentFingerprint()).ok());
+
+  auto fresh = OpenOrDie(path);
+  EXPECT_TRUE(fresh->LoadGraph(Fig1G1().ContentFingerprint()).ok());
+  EXPECT_TRUE(fresh->LoadGraph(Fig1G2().ContentFingerprint()).ok());
+  Result<ArtifactFsckReport> report = ArtifactStore::Fsck(path);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->valid_records, 2u);
+  EXPECT_EQ(report->corrupt_pages, 0u);
+}
+
+// Two handles both see a rotted record. One cuts the rot and appends in its
+// place; the other's later repair must re-check the file under the
+// exclusive lock and keep that record instead of cutting at its own stale
+// watermark.
+TEST(ArtifactStoreTest, RotRepairKeepsRecordsAnotherHandleAppendedSince) {
+  const std::string path = StorePath("rot_two_handles");
+  std::filesystem::remove(path);
+  ASSERT_TRUE(OpenOrDie(path)->PutGraph(Fig1G1()).ok());
+  std::string bytes = ReadFileBytes(path);
+  bytes[bytes.size() - 3] ^= 0x08;  // inside the only record's payload
+  WriteFileBytes(path, bytes);
+
+  auto first = OpenOrDie(path);
+  auto second = OpenOrDie(path);
+  EXPECT_FALSE(first->LoadGraph(Fig1G1().ContentFingerprint()).ok());
+  EXPECT_FALSE(second->LoadGraph(Fig1G1().ContentFingerprint()).ok());
+  ASSERT_TRUE(second->PutGraph(Fig1G2()).ok());
+  ASSERT_TRUE(first->PutGraph(Fig1Gd()).ok());
+  EXPECT_TRUE(first->LoadGraph(Fig1G2().ContentFingerprint()).ok());
+
+  auto fresh = OpenOrDie(path);
+  EXPECT_TRUE(fresh->LoadGraph(Fig1G2().ContentFingerprint()).ok());
+  EXPECT_TRUE(fresh->LoadGraph(Fig1Gd().ContentFingerprint()).ok());
+  Result<ArtifactFsckReport> report = ArtifactStore::Fsck(path);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->valid_records, 2u);
+  EXPECT_EQ(report->corrupt_pages, 0u);
+}
+
+// One handle cuts rot that another handle never read, leaving the file
+// shorter than the other handle's view of it. That handle's next append
+// must re-read the file, not write past its end at its stale watermark.
+TEST(ArtifactStoreTest, AppendAfterAnotherHandleShrankTheFileRereadsIt) {
+  const std::string path = StorePath("shrunk_under_handle");
+  std::filesystem::remove(path);
+  {
+    auto seed = OpenOrDie(path);
+    ASSERT_TRUE(seed->PutGraph(Fig1G1()).ok());
+    ASSERT_TRUE(seed->PutGraph(Fig1G2()).ok());
+  }
+  const auto offsets = [&] {
+    auto lister = OpenOrDie(path);
+    return std::make_pair(lister->ListRecords()[0].offset,
+                          lister->ListRecords()[1].offset);
+  }();
+  std::string bytes = ReadFileBytes(path);
+  bytes[offsets.first + 40] ^= 0x08;  // inside the first record's payload
+  WriteFileBytes(path, bytes);
+
+  auto stale = OpenOrDie(path);    // indexes both records, reads neither
+  auto repairer = OpenOrDie(path);
+  EXPECT_FALSE(repairer->LoadGraph(Fig1G1().ContentFingerprint()).ok());
+  const Graph small = Fig1Gd().PositivePart();
+  ASSERT_TRUE(repairer->PutGraph(small).ok());  // cuts both, appends one
+  ASSERT_LT(std::filesystem::file_size(path), offsets.second);
+  ASSERT_TRUE(stale->PutGraph(Fig1G2()).ok());
+  EXPECT_TRUE(stale->LoadGraph(small.ContentFingerprint()).ok());
+
+  Result<ArtifactFsckReport> report = ArtifactStore::Fsck(path);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->corrupt_pages, 0u);
+  EXPECT_EQ(report->valid_records, 2u);
+  auto fresh = OpenOrDie(path);
+  EXPECT_TRUE(fresh->LoadGraph(small.ContentFingerprint()).ok());
+  EXPECT_TRUE(fresh->LoadGraph(Fig1G2().ContentFingerprint()).ok());
+}
+
 }  // namespace
 }  // namespace dcs

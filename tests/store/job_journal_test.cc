@@ -327,5 +327,32 @@ TEST(JobJournalTest, AlwaysDurabilityFsyncsPerAppend) {
   EXPECT_GT(stats.file_bytes, 32u);
 }
 
+// Two handles open one still-empty journal. The one that appends second
+// must adopt the first one's record, not rewrite the file over it.
+TEST(JobJournalTest, HandleOpenedOnEmptyFileKeepsOtherHandlesRecords) {
+  const std::string path = JournalPath("late_first_append");
+  std::filesystem::remove(path);
+  auto first = OpenOrDie(path);
+  auto second = OpenOrDie(path);
+  JournalAdmittedRecord one;
+  one.job_id = 1;
+  one.admission_index = 1;
+  ASSERT_TRUE(second->AppendAdmitted(one).ok());
+  JournalAdmittedRecord two;
+  two.job_id = 2;
+  two.admission_index = 2;
+  ASSERT_TRUE(first->AppendAdmitted(two).ok());
+  EXPECT_EQ(first->stats().admitted_records, 2u);
+  EXPECT_EQ(first->stats().truncations, 0u);
+  ASSERT_TRUE(first->Flush().ok());
+  ASSERT_TRUE(second->Flush().ok());
+
+  Result<std::vector<JournalReplayJob>> replayed = OpenOrDie(path)->Replay();
+  ASSERT_TRUE(replayed.ok());
+  ASSERT_EQ(replayed->size(), 2u);
+  EXPECT_EQ((*replayed)[0].admitted.job_id, 1u);
+  EXPECT_EQ((*replayed)[1].admitted.job_id, 2u);
+}
+
 }  // namespace
 }  // namespace dcs

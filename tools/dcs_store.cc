@@ -84,8 +84,11 @@ int RunStat(const std::string& path) {
   return 0;
 }
 
-int RunFsck(const std::string& path, bool quiet) {
-  Result<ArtifactFsckReport> report = ArtifactStore::Fsck(path);
+// One printer for `fsck` and `journal fsck`: both files share the page
+// format, so "clean" means the same for both — a trusted superblock and no
+// corrupt page. (Fsck counts a corrupt page whenever it reports unreliable
+// tail bytes, so a torn, never-durable last append is not clean either.)
+int RunFsck(const Result<PageFsckReport>& report, bool quiet) {
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
@@ -105,8 +108,9 @@ int RunFsck(const std::string& path, bool quiet) {
               static_cast<unsigned long long>(report->unreliable_tail_bytes));
   std::printf("file bytes:            %llu\n",
               static_cast<unsigned long long>(report->file_bytes));
-  std::printf("%s\n", clean ? "clean" : "NOT CLEAN (a writer would "
-                                        "truncate or rebuild this store)");
+  std::printf("%s\n", clean ? "clean"
+                            : "NOT CLEAN (a writer would truncate the "
+                              "unreliable tail or rewrite the file)");
   return clean ? 0 : 1;
 }
 
@@ -119,7 +123,8 @@ int RunLs(const std::string& path) {
   std::printf("%-10s %-18s %12s %12s\n", "type", "key", "offset", "payload");
   for (const ArtifactRecordInfo& record : (*store)->ListRecords()) {
     std::printf("%-10s %016llx %12llu %12llu\n",
-                record.type == 1 ? "graph" : "pipeline",
+                record.type == ArtifactStore::kGraphRecord ? "graph"
+                                                           : "pipeline",
                 static_cast<unsigned long long>(record.key),
                 static_cast<unsigned long long>(record.offset),
                 static_cast<unsigned long long>(record.payload_bytes));
@@ -167,37 +172,6 @@ const char* JournalRecordTypeName(uint32_t type) {
   }
 }
 
-int RunJournalFsck(const std::string& path, bool quiet) {
-  Result<JournalFsckReport> report = JobJournal::Fsck(path);
-  if (!report.ok()) {
-    std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-    return 1;
-  }
-  // A journal with an unreliable tail is not corrupt in the scary sense —
-  // the next writer truncates it — but a scripted health check wants to
-  // know the last append never became durable, so it counts as not clean.
-  const bool clean = report->superblock_ok && report->corrupt_pages == 0 &&
-                     report->unreliable_tail_bytes == 0;
-  if (quiet) return clean ? 0 : 1;
-  std::printf("superblock:            %s\n",
-              report->superblock_ok ? "ok" : "INVALID");
-  if (report->superblock_ok) {
-    std::printf("format version:        %u\n", report->format_version);
-  }
-  std::printf("valid records:         %llu\n",
-              static_cast<unsigned long long>(report->valid_records));
-  std::printf("corrupt pages:         %llu\n",
-              static_cast<unsigned long long>(report->corrupt_pages));
-  std::printf("unreliable tail bytes: %llu\n",
-              static_cast<unsigned long long>(report->unreliable_tail_bytes));
-  std::printf("file bytes:            %llu\n",
-              static_cast<unsigned long long>(report->file_bytes));
-  std::printf("%s\n", clean ? "clean"
-                            : "NOT CLEAN (a writer would truncate the "
-                              "unreliable tail / skip corrupt frames)");
-  return clean ? 0 : 1;
-}
-
 int RunJournalLs(const std::string& path) {
   Result<std::shared_ptr<JobJournal>> journal = OpenExistingJournal(path);
   if (!journal.ok()) {
@@ -208,7 +182,7 @@ int RunJournalLs(const std::string& path) {
   for (const JournalRecordInfo& record : (*journal)->ListRecords()) {
     std::printf("%-10s %12llu %12llu %12llu\n",
                 JournalRecordTypeName(record.type),
-                static_cast<unsigned long long>(record.job_id),
+                static_cast<unsigned long long>(record.key),
                 static_cast<unsigned long long>(record.offset),
                 static_cast<unsigned long long>(record.payload_bytes));
   }
@@ -246,11 +220,11 @@ int main(int argc, char** argv) {
   }
   if (journal) {
     if (command == "stat") return RunJournalStat(path);
-    if (command == "fsck") return RunJournalFsck(path, quiet);
+    if (command == "fsck") return RunFsck(JobJournal::Fsck(path), quiet);
     if (command == "ls") return RunJournalLs(path);
   } else {
     if (command == "stat") return RunStat(path);
-    if (command == "fsck") return RunFsck(path, quiet);
+    if (command == "fsck") return RunFsck(ArtifactStore::Fsck(path), quiet);
     if (command == "ls") return RunLs(path);
   }
   std::fprintf(stderr, "unknown command '%s'\n\n", command.c_str());

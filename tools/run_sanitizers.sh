@@ -3,8 +3,8 @@
 #
 # Builds the tree twice — `-DDCS_SANITIZE=address` and `=thread` — in
 # dedicated build directories (so the instrumented objects never pollute the
-# default ./build) and runs the `unit`, `chaos` and `crash` ctest labels
-# under each. One command, fail-fast per step:
+# default ./build) and runs the `unit`, `stress`, `chaos` and `crash` ctest
+# labels under each. One command, fail-fast per step:
 #
 #   tools/run_sanitizers.sh            # both sanitizers
 #   tools/run_sanitizers.sh address    # just one
@@ -12,7 +12,9 @@
 #
 # The crash label fork/execs the journaled worker and kills it mid-append;
 # running it instrumented is the point — a recovery-path data race or a
-# use-after-free in the journal teardown shows up here first.
+# use-after-free in the journal teardown shows up here first. The stress
+# label runs many handles on one store file, so the page-file locking and
+# repair paths run instrumented too.
 #
 # Env knobs: JOBS (parallel build/test width, default nproc),
 # BUILD_ROOT (where build-<sanitizer> dirs go, default the repo root).
@@ -38,7 +40,7 @@ for sanitizer in "${sanitizers[@]}"; do
   esac
 done
 
-labels='unit|chaos|crash'
+labels='unit|stress|chaos|crash'
 for sanitizer in "${sanitizers[@]}"; do
   build_dir="$build_root/build-$sanitizer"
   echo "== [$sanitizer] configure -> $build_dir"

@@ -662,16 +662,6 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
                            ThreadPool* pool, uint32_t parallelism_budget,
                            const CancelToken* cancel,
                            MiningResponse* response) const {
-  // SessionOptions::fast_math is a session-wide default: requests that did
-  // not opt in themselves get the reassociating reduction kernels switched
-  // on via a copy, so the caller's request object stays untouched.
-  MiningRequest fast_math_request;
-  const MiningRequest* effective = &request;
-  if (options_.fast_math && !request.ga_solver.fast_math) {
-    fast_math_request = request;
-    fast_math_request.ga_solver.fast_math = true;
-    effective = &fast_math_request;
-  }
   SolverContext context;
   context.difference = &pipeline.difference;
   if (pipeline.has_ga_artifacts) {
@@ -699,7 +689,7 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
                               request.ad_solver_name + "'");
     }
     Result<std::vector<RankedSubgraph>> ranked =
-        solver(context, *effective, &response->telemetry);
+        solver(context, request, &response->telemetry);
     if (!ranked.ok()) return ranked.status();
     response->average_degree = std::move(*ranked);
   }
@@ -715,7 +705,7 @@ Status MinerSession::Solve(const PreparedPipeline& pipeline,
                               request.ga_solver_name + "'");
     }
     Result<std::vector<RankedSubgraph>> ranked =
-        solver(context, *effective, &response->telemetry);
+        solver(context, request, &response->telemetry);
     if (!ranked.ok()) return ranked.status();
     response->graph_affinity = std::move(*ranked);
   }

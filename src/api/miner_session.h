@@ -122,15 +122,6 @@ struct SessionOptions {
   /// patch path stays ahead of a rebuild well past Δ/m = 0.25 (see
   /// bench_streaming_updates / BENCH_streaming_updates.json).
   double patch_rebuild_ratio = 0.25;
-  /// Permit floating-point reassociation in the DCSGA reduction kernels for
-  /// every request this session serves (per-request opt-in:
-  /// MiningRequest::ga_solver.fast_math). Off (default): every solve is
-  /// bit-identical to the scalar reference kernels at every thread count
-  /// and ISA. On: the affinity reductions may use vector-lane accumulation
-  /// — results stay deterministic for a fixed (graphs, request), but are no
-  /// longer bit-identical to the default path. See core/kernels.h and the
-  /// ARCHITECTURE.md "Kernel layer" section for the exactness rules.
-  bool fast_math = false;
 };
 
 /// \brief A mining session over a pair of graphs on a fixed vertex universe.

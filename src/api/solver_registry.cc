@@ -111,7 +111,6 @@ Result<std::vector<RankedSubgraph>> SolveDcsgaBuiltin(
       // only when it strictly beats the fresh solve, so warm starting never
       // degrades the answer.
       AffinityState state(gd_plus);
-      state.set_fast_math(solver_options.fast_math);
       const Status reset = state.ResetToEmbedding(Embedding::UniformOn(
           gd_plus.NumVertices(), context.warm_support));
       if (reset.ok()) {

@@ -112,8 +112,7 @@ Status AffinityState::ResetToEmbedding(const Embedding& embedding) {
 }
 
 double AffinityState::Affinity() const {
-  return SupportReduce(support_.data(), support_.size(), x_.data(), dx_.data(),
-                       /*allow_reassociation=*/fast_math_);
+  return SupportReduce(support_.data(), support_.size(), x_.data(), dx_.data());
 }
 
 void AffinityState::AddToSupport(VertexId v) {

@@ -59,12 +59,8 @@ struct Embedding {
 ///
 /// Construction stages the adjacency into structure-of-arrays form (dense
 /// u32 target / f64 weight streams instead of the 16-byte Neighbor AoS) so
-/// the per-move hot loops run through core/kernels.h. The default kernels
-/// are bit-identical to the scalar loops they replaced; setting
-/// set_fast_math(true) additionally permits reassociated reduction kernels
-/// in Affinity() (opt-in via DcsgaOptions::fast_math, still deterministic
-/// for a fixed support sequence, but no longer bit-identical to the ordered
-/// scalar sum).
+/// the per-move hot loops run through core/kernels.h. Every kernel is
+/// bit-identical to the scalar loop it replaced.
 class AffinityState {
  public:
   /// Starts from the all-zeros embedding.
@@ -113,11 +109,6 @@ class AffinityState {
   bool ComputeExtremes(std::span<const VertexId> candidates,
                        GradientExtremes* out) const;
 
-  /// Permit reassociating reduction kernels in Affinity(). Default off; the
-  /// solvers plumb DcsgaOptions::fast_math through here.
-  void set_fast_math(bool enabled) { fast_math_ = enabled; }
-  bool fast_math() const { return fast_math_; }
-
   /// Weight of edge {u,v} from the staged adjacency — same result as
   /// Graph::EdgeWeight(u, v) (0.0 when absent) without the AoS stride.
   double StagedEdgeWeight(VertexId u, VertexId v) const;
@@ -159,7 +150,6 @@ class AffinityState {
   // Epoch-stamped scratch for Renormalize's visited set (no O(n) clears).
   std::vector<uint64_t> renorm_seen_;
   uint64_t renorm_epoch_ = 0;
-  bool fast_math_ = false;
   static constexpr uint32_t kNotInSupport = static_cast<uint32_t>(-1);
 };
 

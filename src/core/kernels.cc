@@ -249,27 +249,11 @@ void DiscretizeMapPacked(const double* in, double* out, size_t count,
 
 namespace {
 
-void ClampScalar(double* weights, size_t count, double cap) {
-  for (size_t i = 0; i < count; ++i) {
-    weights[i] = std::min(weights[i], cap);
-  }
-}
-
 #if DCS_KERNELS_X86
 // std::min(w, cap) bit semantics: take cap only when cap < w, otherwise keep
 // w's bits (including when equal) — a blendv on (cap < w), not min_pd.
 __attribute__((target("avx2"))) inline __m256d MinStd(__m256d w, __m256d cap) {
   return _mm256_blendv_pd(w, cap, _mm256_cmp_pd(cap, w, _CMP_LT_OQ));
-}
-
-__attribute__((target("avx2"))) void ClampAvx2(double* weights, size_t count,
-                                               double cap) {
-  const __m256d capv = _mm256_set1_pd(cap);
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    _mm256_storeu_pd(weights + i, MinStd(_mm256_loadu_pd(weights + i), capv));
-  }
-  for (; i < count; ++i) weights[i] = std::min(weights[i], cap);
 }
 
 // Clamp over the Neighbor AoS layout: each 32-byte load covers two
@@ -312,80 +296,23 @@ void ClampAosWeights(Neighbor* neighbors, size_t count, double cap) {
 
 }  // namespace
 
-void ClampAbovePacked(double* weights, size_t count, double cap) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxClampElements, count);
-#if DCS_KERNELS_X86
-  if (UseAvx2(counters)) {
-    ClampAvx2(weights, count, cap);
-    return;
-  }
-#else
-  UseAvx2(counters);
-#endif
-  ClampScalar(weights, count, cap);
-}
-
 // ---------------------------------------------------------------------------
 // dx accumulation (SetX inner loop)
 // ---------------------------------------------------------------------------
 
-namespace {
-
-void AxpyScatterScalar(const VertexId* targets, const double* weights,
-                       size_t count, double delta, double* dx) {
-  for (size_t i = 0; i < count; ++i) {
-    dx[targets[i]] += weights[i] * delta;
-  }
-}
-
-#if DCS_KERNELS_X86
-// Vectorizes the weight·delta products (one rounding each, no contraction —
-// explicit mul, and the TU is built with -ffp-contract=off); the scatter
-// adds stay scalar *in row order*, so the dx updates are bit-identical to
-// the scalar loop. Rows are sorted, so prefetching dx at targets one chunk
-// ahead hides the dependent-load latency of the scatter.
-__attribute__((target("avx2"))) void AxpyScatterAvx2(const VertexId* targets,
-                                                     const double* weights,
-                                                     size_t count, double delta,
-                                                     double* dx) {
-  const __m256d dsplat = _mm256_set1_pd(delta);
-  alignas(32) double prod[4];
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    if (i + 8 <= count) {
-      _mm_prefetch(reinterpret_cast<const char*>(dx + targets[i + 4]),
-                   _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(dx + targets[i + 7]),
-                   _MM_HINT_T0);
-    }
-    _mm256_store_pd(prod, _mm256_mul_pd(_mm256_loadu_pd(weights + i), dsplat));
-    dx[targets[i]] += prod[0];
-    dx[targets[i + 1]] += prod[1];
-    dx[targets[i + 2]] += prod[2];
-    dx[targets[i + 3]] += prod[3];
-  }
-  for (; i < count; ++i) {
-    dx[targets[i]] += weights[i] * delta;
-  }
-}
-#endif  // DCS_KERNELS_X86
-
-}  // namespace
-
+// The products are never fused (the TU is built with -ffp-contract=off) and
+// the scatter adds run in row order, so dx comes out bit-identical however
+// the caller shards its seeds. An AVX2 twin that vectorized the products and
+// prefetched dx ran at 0.88-1.01x of this loop, so the scalar loop is the
+// only path.
 void AxpyScatter(const VertexId* targets, const double* weights, size_t count,
                  double delta, double* dx) {
   CounterBlock& counters = Tls();
   Bump(counters, kIdxAxpyElements, count);
-#if DCS_KERNELS_X86
-  if (UseAvx2(counters)) {
-    AxpyScatterAvx2(targets, weights, count, delta, dx);
-    return;
+  Bump(counters, kIdxScalarCalls, 1);
+  for (size_t i = 0; i < count; ++i) {
+    dx[targets[i]] += weights[i] * delta;
   }
-#else
-  UseAvx2(counters);
-#endif
-  AxpyScatterScalar(targets, weights, count, delta, dx);
 }
 
 // ---------------------------------------------------------------------------
@@ -504,86 +431,19 @@ bool ScanGradientExtremes(const VertexId* candidates, size_t count,
 // Support reduction
 // ---------------------------------------------------------------------------
 
-namespace {
-
-double SupportReduceScalar(const VertexId* support, size_t count,
-                           const double* x, const double* dx) {
+// Ordered sum, one rounding per term. A gathered-product AVX2 twin ran at
+// 0.72-1.03x of this loop, so the scalar loop is the only path.
+double SupportReduce(const VertexId* support, size_t count, const double* x,
+                     const double* dx) {
+  CounterBlock& counters = Tls();
+  Bump(counters, kIdxSupportReductions, 1);
+  Bump(counters, kIdxScalarCalls, 1);
   double f = 0.0;
   for (size_t i = 0; i < count; ++i) {
     const VertexId v = support[i];
     f += x[v] * dx[v];
   }
   return f;
-}
-
-#if DCS_KERNELS_X86
-// Exact variant: the products x_v·dx_v are gathered and multiplied in
-// vectors (elementwise, one rounding each), but the accumulation replays
-// them in support order — the sum sequence is instruction-for-instruction
-// the scalar reduction, so the result is bit-identical.
-__attribute__((target("avx2"))) double SupportReduceAvx2Exact(
-    const VertexId* support, size_t count, const double* x, const double* dx) {
-  alignas(32) double prod[4];
-  double f = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(support + i));
-    _mm256_store_pd(prod, _mm256_mul_pd(_mm256_i32gather_pd(x, idx, 8),
-                                        _mm256_i32gather_pd(dx, idx, 8)));
-    f += prod[0];
-    f += prod[1];
-    f += prod[2];
-    f += prod[3];
-  }
-  for (; i < count; ++i) {
-    const VertexId v = support[i];
-    f += x[v] * dx[v];
-  }
-  return f;
-}
-
-// Reassociating variant (fast_math only): four running lanes, folded in a
-// fixed order, then the tail in order — deterministic for a given support
-// sequence (so still thread-count invariant), but not bit-identical to the
-// ordered sum.
-__attribute__((target("avx2"))) double SupportReduceAvx2Reassoc(
-    const VertexId* support, size_t count, const double* x, const double* dx) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= count; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(support + i));
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_i32gather_pd(x, idx, 8),
-                                           _mm256_i32gather_pd(dx, idx, 8)));
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  double f = ((lanes[0] + lanes[1]) + lanes[2]) + lanes[3];
-  for (; i < count; ++i) {
-    const VertexId v = support[i];
-    f += x[v] * dx[v];
-  }
-  return f;
-}
-#endif  // DCS_KERNELS_X86
-
-}  // namespace
-
-double SupportReduce(const VertexId* support, size_t count, const double* x,
-                     const double* dx, bool allow_reassociation) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxSupportReductions, 1);
-#if DCS_KERNELS_X86
-  if (count >= 8 && UseAvx2(counters)) {
-    return allow_reassociation ? SupportReduceAvx2Reassoc(support, count, x, dx)
-                               : SupportReduceAvx2Exact(support, count, x, dx);
-  }
-  if (count < 8) Bump(counters, kIdxScalarCalls, 1);
-#else
-  UseAvx2(counters);
-#endif
-  return SupportReduceScalar(support, count, x, dx);
 }
 
 double StagedRowLookup(const VertexId* targets, const double* weights,

@@ -1,20 +1,24 @@
-// The measured kernel layer: SIMD + memory-layout implementations of the
-// hot loops every DCSGA solve runs — difference-graph row merge, discretize
-// map, GD+ clamp sweep, dx (affinity) accumulation, gradient-extremes scan
-// and the support reduction — behind one runtime ISA dispatcher.
+// The measured kernel layer: the hot loops every DCSGA solve runs —
+// difference-graph row merge, discretize map, GD+ clamp sweep, dx (affinity)
+// accumulation, gradient-extremes scan, support reduction and the smart-init
+// seed-order sort — with SIMD or memory-layout variants only where they
+// were measured to beat scalar on the library's path.
 //
-// Exactness contract (the ROADMAP float-reassociation rule):
-//  * Every kernel's default path is *bit-identical* to the scalar reference
-//    it replaced, on every ISA and at every thread count. Elementwise work
-//    (compare/select discretize, min-clamp, per-edge multiplies, the
-//    strict-first-wins extremes scan) vectorizes exactly; anything that
-//    would reassociate a floating-point sum does not vectorize by default.
-//  * Reassociating variants exist only for the reductions and only behind
-//    an explicit opt-in (DcsgaOptions::fast_math / SessionOptions::
-//    fast_math, default off), with their own tolerance tests.
-//  * No FMA contraction anywhere: the SIMD paths use explicit mul/add
-//    intrinsics and the build sets -ffp-contract=off, so -DDCS_NATIVE
-//    cannot silently fuse the scalar reference either.
+// Which kernels dispatch on the ISA:
+//  * AVX2 vs scalar: DiscretizeMapPacked, ScanGradientExtremes (candidate
+//    sets of 8 or more), SeedOrderSort and GraphKernels::WeightsClampedAbove.
+//  * Scalar only: AxpyScatter and SupportReduce, whose AVX2 variants
+//    measured at or below the ordered loops in bench_micro_kernels.
+//    BuildDifferenceGraph and PositivePart are layout rewrites with no ISA
+//    split.
+//
+// Exactness contract: every kernel is *bit-identical* to the scalar
+// reference it replaced, on every ISA and at every thread count.
+// Elementwise work (compare/select discretize, min-clamp, the
+// strict-first-wins extremes scan) vectorizes exactly; floating-point sums
+// never reassociate. No FMA contraction anywhere: the SIMD paths use
+// explicit intrinsics and the build sets -ffp-contract=off, so -DDCS_NATIVE
+// cannot silently fuse the scalar reference either.
 //
 // Dispatch: AVX2 variants are compiled with per-function target attributes
 // (no global -mavx2 needed) and selected at runtime via CPUID; tests and
@@ -94,15 +98,9 @@ void StageAdjacencySoa(const Graph& graph, std::vector<VertexId>* targets,
 void DiscretizeMapPacked(const double* in, double* out, size_t count,
                          const DiscretizeSpec& spec);
 
-/// \brief weights[i] = min(weights[i], cap) elementwise, std::min ordering.
-/// Exact on every ISA.
-void ClampAbovePacked(double* weights, size_t count, double cap);
-
 /// \brief dx[targets[i]] += weights[i] * delta for i in [0, count) — the
-/// AffinityState::SetX inner loop over one staged row. The products are
-/// vectorized (one rounding each, never fused); the scatter adds run in row
-/// order to distinct addresses, so the result is exact on every ISA.
-/// Software-prefetches dx at upcoming targets of the sorted row.
+/// AffinityState::SetX inner loop over one staged row, in row order with
+/// one rounding per product. Scalar on every ISA.
 void AxpyScatter(const VertexId* targets, const double* weights, size_t count,
                  double delta, double* dx);
 
@@ -125,15 +123,10 @@ bool ScanGradientExtremes(const VertexId* candidates, size_t count,
                           const double* x, const double* dx,
                           GradExtremes* out);
 
-/// \brief f = Σ_i x[support[i]] · dx[support[i]].
-///
-/// With `allow_reassociation` false (the default everywhere), the sum runs
-/// in support order with one rounding per term — bit-identical on every
-/// ISA. True permits the 4-lane vector accumulation (deterministic for a
-/// fixed count, but not bit-identical to the ordered sum); callers gate it
-/// behind DcsgaOptions::fast_math.
+/// \brief f = Σ_i x[support[i]] · dx[support[i]], summed in support order
+/// with one rounding per term. Scalar on every ISA.
 double SupportReduce(const VertexId* support, size_t count, const double* x,
-                     const double* dx, bool allow_reassociation);
+                     const double* dx);
 
 /// \brief Binary search of `v` in a sorted staged row; returns the paired
 /// weight or 0.0 when absent. Identical to Graph::EdgeWeight on the same

@@ -163,7 +163,7 @@ std::string JobJournal::EncodeRequest(const MiningRequest& request) {
       static_cast<uint8_t>(request.warm_start ? 1 : 0),
       static_cast<uint8_t>(request.ga_solver.collect_cliques ? 1 : 0),
       static_cast<uint8_t>(request.ga_solver.assume_nonnegative ? 1 : 0),
-      static_cast<uint8_t>(request.ga_solver.fast_math ? 1 : 0)};
+      0};  // retired flag, see DecodeRequest
   out.append(reinterpret_cast<const char*>(flags), sizeof(flags));
   if (request.discretize) {
     AppendDoubleBits(request.discretize->strong_pos, &out);
@@ -242,7 +242,9 @@ Result<MiningRequest> JobJournal::DecodeRequest(
   request.warm_start = flags[4] != 0;
   request.ga_solver.collect_cliques = flags[5] != 0;
   request.ga_solver.assume_nonnegative = flags[6] != 0;
-  request.ga_solver.fast_math = flags[7] != 0;
+  // flags[7] was the fast_math opt-in (reassociating affinity reductions),
+  // since removed. New images write 0; an older image's 1 is ignored, so its
+  // jobs replay on the exact kernels like every other request.
   uint32_t shrink = 0, priority_bits = 0;
   DcsgaOptions& ga = request.ga_solver;
   if (!ReadU32(bytes, &cursor, &request.top_k) ||

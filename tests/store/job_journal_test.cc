@@ -1,7 +1,8 @@
 // JobJournal tests: request/response serialization round trips, the
-// append-then-reopen cycle, Replay's exactly-once fold, and the trust
+// append-then-reopen cycle, Replay's exactly-once fold, the trust
 // model — a torn tail and a flipped bit must read as absent, be counted,
-// and converge back to fsck-clean via tail truncation.
+// and converge back to fsck-clean via tail truncation — and replay of
+// records written with the retired request flag set.
 
 #include "store/job_journal.h"
 
@@ -15,8 +16,15 @@
 #include <utility>
 #include <vector>
 
+#include "api/miner_session.h"
 #include "api/mining.h"
+#include "api/mining_service.h"
+#include "gen/random_graphs.h"
+#include "store/page_file.h"
+#include "test_util.h"
+#include "util/byte_codec.h"
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace dcs {
 namespace {
@@ -352,6 +360,77 @@ TEST(JobJournalTest, HandleOpenedOnEmptyFileKeepsOtherHandlesRecords) {
   ASSERT_EQ(replayed->size(), 2u);
   EXPECT_EQ((*replayed)[0].admitted.job_id, 1u);
   EXPECT_EQ((*replayed)[1].admitted.job_id, 2u);
+}
+
+// Byte 7 of the request flag block used to carry the since-removed opt-in
+// to reassociating affinity reductions. A journal written before then can
+// hold an Admitted record with the byte set: it must still replay, re-run
+// on the exact kernels, and answer bit-identically to the same request
+// without the flag.
+TEST(JobJournalTest, RetiredFlagByteReplaysOnTheExactPath) {
+  const std::string path = JournalPath("retired_flag");
+  std::filesystem::remove(path);
+  Rng rng(2024);
+  Result<Graph> g1 = ErdosRenyiWeighted(120, 0.1, 0.5, 3.0, &rng);
+  Result<Graph> g2 = ErdosRenyiWeighted(120, 0.1, 0.5, 3.0, &rng);
+  ASSERT_TRUE(g1.ok() && g2.ok());
+  MiningRequest request;
+  request.measure = Measure::kGraphAffinity;
+  request.top_k = 2;
+
+  // The request image: u32 measure, f64 alpha, then the 8 flag bytes.
+  const std::string exact_image = JobJournal::EncodeRequest(request);
+  constexpr size_t kRetiredFlag = 4 + 8 + 7;
+  ASSERT_GT(exact_image.size(), kRetiredFlag);
+  ASSERT_EQ(exact_image[kRetiredFlag], 0);
+  std::string flagged_image = exact_image;
+  flagged_image[kRetiredFlag] = 1;
+
+  // Frame it exactly as an Admitted record: job id, tenant, admission
+  // index, request image — through the journal's own page format.
+  std::string payload;
+  AppendU64(1, &payload);
+  AppendU32(0, &payload);
+  AppendU64(1, &payload);
+  payload += flagged_image;
+  {
+    Result<std::unique_ptr<PageFile>> file = PageFile::Open(
+        path, JobJournal::kPageFormat, PageFileOptions{},
+        [](const PageRecordInfo&) {}, [] {});
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    ASSERT_TRUE((*file)->Scan());
+    ASSERT_TRUE((*file)->Append(JobJournal::kAdmittedRecord, 1, payload).ok());
+    ASSERT_TRUE((*file)->Sync().ok());
+  }
+
+  // It replays as an incomplete job whose request is the unflagged one.
+  {
+    Result<std::vector<JournalReplayJob>> replayed =
+        OpenOrDie(path)->Replay();
+    ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+    ASSERT_EQ(replayed->size(), 1u);
+    EXPECT_FALSE((*replayed)[0].done);
+    EXPECT_EQ(JobJournal::EncodeRequest((*replayed)[0].admitted.request),
+              exact_image);
+  }
+
+  Result<MinerSession> direct = MinerSession::Create(*g1, *g2);
+  ASSERT_TRUE(direct.ok());
+  Result<MiningResponse> expected = direct->Mine(request);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_FALSE(expected->graph_affinity.empty());
+
+  Result<MinerSession> tenant = MinerSession::Create(*g1, *g2);
+  ASSERT_TRUE(tenant.ok());
+  MiningServiceOptions options;
+  options.journal_path = path;
+  MiningService service(std::move(*tenant), options);
+  EXPECT_EQ(service.num_recovered_jobs(), 1u);
+  Result<JobStatus> rerun = service.Wait(1);
+  ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+  ASSERT_EQ(rerun->state, JobState::kDone) << rerun->failure.ToString();
+  EXPECT_EQ(testing::SerializeSubgraphs(rerun->response),
+            testing::SerializeSubgraphs(*expected));
 }
 
 }  // namespace

@@ -25,16 +25,12 @@
 #include <utility>
 #include <vector>
 
-#include <condition_variable>
-#include <mutex>
-
 #include "api/artifact_store.h"
 #include "api/miner_session.h"
 #include "api/mining.h"
 #include "api/mining_service.h"
 #include "api/pipeline_cache.h"
 #include "graph/io.h"
-#include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
@@ -85,8 +81,6 @@ constexpr FlagSpec kFlagTable[] = {
      "arm deterministic fault injection, e.g. store.append:every=2,times=3 "
      "(site list below; keys: every after times prob seed delay_ms fail "
      "crash; ';' separates specs)"},
-    {"--fast-math", "",
-     "allow reassociating SIMD reduction kernels (default: bit-exact)"},
     {"--quiet", "", "print only the result lines"},
     {"--help", "", "print this flag reference and exit"},
 };
@@ -106,7 +100,6 @@ struct Args {
   std::string journal_path;            // empty = no job journal
   double deadline_seconds = 0.0;       // 0 = no deadline
   std::string inject_spec;             // empty = fault injection disarmed
-  bool fast_math = false;
   bool quiet = false;
   bool help = false;
 };
@@ -237,8 +230,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->discrete = true;
     } else if (flag == "--flip") {
       args->flip = true;
-    } else if (flag == "--fast-math") {
-      args->fast_math = true;
     } else if (flag == "--quiet") {
       args->quiet = true;
     } else if (flag == "--help") {
@@ -494,13 +485,10 @@ int main(int argc, char** argv) {
   request.alpha = args.alpha;
   request.flip = args.flip;
   request.top_k = args.topk;
-  // Enforced by the MiningService watchdog in --async mode; the synchronous
-  // path wraps its own CancelToken below (Mine ignores the field).
+  // Enforced by the MiningService watchdog: a --deadline run always goes
+  // through a service (MinerSession::Mine ignores the field).
   request.deadline_seconds = args.deadline_seconds;
   if (args.discrete) request.discretize = DiscretizeSpec{};
-  // Per-request opt-in reaches every mode (single, --async, --shared-cache)
-  // through the one MiningRequest they all share.
-  request.ga_solver.fast_math = args.fast_math;
 
   // Open (or create) the persistent store before any session exists, so
   // every mode warm-boots from it and writes built pipelines back.
@@ -569,12 +557,16 @@ int main(int argc, char** argv) {
       }
     }
 
-    if (args.async || !args.journal_path.empty()) {
+    // --journal and --deadline route the otherwise-synchronous mine through
+    // the same one-tenant service as --async: the journal needs admission
+    // to record, and the deadline needs the service's watchdog.
+    const bool use_service = args.async || !args.journal_path.empty() ||
+                             args.deadline_seconds > 0.0;
+    if (use_service) {
       // The async path: the same request goes through the MiningService job
       // queue — submit, poll the lifecycle, wait for the terminal snapshot.
-      // --journal routes the otherwise-synchronous mine through the same
-      // service so admission is journaled and a crashed prior run's
-      // incomplete jobs are recovered (and re-mined) before this one.
+      // With --journal, a crashed prior run's incomplete jobs are recovered
+      // (and re-mined) before this one.
       MiningServiceOptions service_options;
       service_options.journal_path = args.journal_path;
       MiningService service(std::move(*session), service_options);
@@ -631,37 +623,6 @@ int main(int argc, char** argv) {
       store_retries = service.num_store_retries();
       have_health = true;
       response = std::move(final_status->response);
-    } else if (args.deadline_seconds > 0.0) {
-      // Synchronous deadline: Mine ignores request.deadline_seconds (no
-      // service watchdog exists), so wrap the solve in a local one firing a
-      // CancelToken — the same mechanism the service uses.
-      CancelToken cancel;
-      std::mutex m;
-      std::condition_variable cv;
-      bool finished = false;
-      bool deadline_fired = false;
-      std::thread watchdog([&] {
-        std::unique_lock<std::mutex> lk(m);
-        if (!cv.wait_for(lk,
-                         std::chrono::duration<double>(args.deadline_seconds),
-                         [&] { return finished; })) {
-          deadline_fired = true;
-          cancel.Cancel();
-        }
-      });
-      response = session->Mine(request, &cancel);
-      {
-        std::lock_guard<std::mutex> lk(m);
-        finished = true;
-      }
-      cv.notify_one();
-      watchdog.join();
-      if (!response.ok() && response.status().IsCancelled() &&
-          deadline_fired) {
-        std::fprintf(stderr, "mining failed: deadline of %gs exceeded\n",
-                     args.deadline_seconds);
-        return 3;
-      }
     } else {
       response = session->Mine(request);
     }
@@ -670,18 +631,18 @@ int main(int argc, char** argv) {
                    response.status().ToString().c_str());
       return 1;
     }
-    if (!args.async) {
-      // Settle async write-backs *before* sampling the ladder, so injected
-      // or real store failures from this very mine are already visible.
-      if (store != nullptr) {
-        const Status settled = store->Flush();
-        if (!settled.ok()) {
-          std::fprintf(stderr, "store write-back failed: %s\n",
-                       settled.ToString().c_str());
-          exit_code = 1;  // persistence was requested and not delivered
-        }
-        session->RefreshHealth();
+    // Settle async write-backs *before* sampling the ladder, so injected
+    // or real store failures from this very mine are already visible.
+    if (store != nullptr) {
+      const Status settled = store->Flush();
+      if (!settled.ok()) {
+        std::fprintf(stderr, "store write-back failed: %s\n",
+                     settled.ToString().c_str());
+        exit_code = 1;  // persistence was requested and not delivered
       }
+    }
+    if (!use_service) {
+      if (store != nullptr) session->RefreshHealth();
       health = session->health();
       health_transitions = session->num_health_transitions();
       store_write_errors = session->num_store_write_errors();

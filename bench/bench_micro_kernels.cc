@@ -1,12 +1,12 @@
 // Micro-benchmark of the kernel layer (core/kernels.h): cycles-per-edge for
 // each kernel that has a second path to compare — difference-graph merge,
-// discretize map, GD+ clamp sweep, positive part, seed-order sort and the
-// gradient-extremes scan — measured twice per record, once through the
-// scalar reference and once through the library's kernel under automatic
-// dispatch, plus an end-to-end mine row per dataset (reference builders +
-// forced-scalar solve vs. kernel builders + dispatched solve on the same
-// pair). The scalar-only kernels (AxpyScatter, SupportReduce) have no row:
-// they show up only in the end-to-end mine.
+// discretize map, positive part, seed-order sort and the gradient-extremes
+// scan — measured twice per record, once through the scalar reference and
+// once through the library's kernel under automatic dispatch, plus an
+// end-to-end mine row per dataset (reference builders + forced-scalar solve
+// vs. kernel builders + dispatched solve on the same pair). The scalar-only
+// kernels (AxpyScatter, SupportReduce) have no row: they show up only in the
+// end-to-end mine.
 //
 // Every bench cycle asserts the exactness contract before it counts: the
 // dispatched output must be bit-identical to the scalar reference (memcmp on
@@ -198,30 +198,6 @@ MicroResult BenchSeedOrderSort(const std::vector<double>& mu, uint32_t reps) {
   return r;
 }
 
-// The clamp the pipeline runs: GraphKernels::WeightsClampedAbove (AoS
-// weight-lane clamp, dispatched) against the Graph::WeightsClampedAbove
-// reference loop. Both copy the graph, so the copy cost is in both columns.
-MicroResult BenchClampSweep(const Graph& gd, uint32_t reps) {
-  const double cap = 2.0;  // bites on real weights, passes small ones through
-  MicroResult r;
-  r.edges = 2 * gd.NumEdges();
-  const uint64_t want = gd.WeightsClampedAbove(cap).ContentFingerprint();
-  for (uint32_t i = 0; i < reps; ++i) {
-    const uint64_t t0 = CyclesNow();
-    const Graph reference = gd.WeightsClampedAbove(cap);
-    const uint64_t t1 = CyclesNow();
-    const Graph kernel = GraphKernels::WeightsClampedAbove(gd, cap);
-    const uint64_t t2 = CyclesNow();
-    r.scalar_cycles += static_cast<double>(t1 - t0);
-    r.kernel_cycles += static_cast<double>(t2 - t1);
-    r.bit_identical = r.bit_identical &&
-                      reference.ContentFingerprint() == want &&
-                      kernel.ContentFingerprint() == want &&
-                      kernel.NumEdges() == reference.NumEdges();
-  }
-  return r;
-}
-
 // --- gradient-extremes scan -------------------------------------------------
 
 MicroResult BenchExtremesScan(VertexId n, uint32_t reps) {
@@ -385,8 +361,6 @@ int main(int argc, char** argv) {
               BenchDifferenceMerge(dataset.g1, dataset.g2, reps));
     AddRecord(&reporter, &table, dataset.label, "discretize_map", reps,
               BenchDiscretizeMap(packed, reps));
-    AddRecord(&reporter, &table, dataset.label, "clamp_sweep", reps,
-              BenchClampSweep(*gd, reps));
     AddRecord(&reporter, &table, dataset.label, "positive_part", reps,
               BenchPositivePart(*gd, reps));
     AddRecord(&reporter, &table, dataset.label, "seed_order_sort", reps,

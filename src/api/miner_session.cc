@@ -513,10 +513,10 @@ Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
       const Graph& first = request.flip ? g2_ : g1_;
       const Graph& second = request.flip ? g1_ : g2_;
       // Kernel-layer twins of the reference builders (core/kernels.h):
-      // direct-CSR merge and vectorized discretize/clamp, bit-identical to
-      // BuildDifferenceGraph / DiscretizeWeights / WeightsClampedAbove —
-      // which is what keeps the PatchPipeline mirror and the artifact-store
-      // fingerprints valid unchanged.
+      // direct-CSR merge and vectorized discretize, bit-identical to
+      // BuildDifferenceGraph / DiscretizeWeights — which is what keeps the
+      // PatchPipeline mirror and the artifact-store fingerprints valid
+      // unchanged. The clamp is the reference itself.
       DCS_ASSIGN_OR_RETURN(
           out.difference,
           GraphKernels::BuildDifferenceGraph(first, second, request.alpha));
@@ -527,8 +527,8 @@ Result<PipelineCache::Snapshot> MinerSession::PreparePipeline(
                                             *request.discretize));
       }
       if (request.clamp_weights_above) {
-        out.difference = GraphKernels::WeightsClampedAbove(
-            out.difference, *request.clamp_weights_above);
+        out.difference =
+            out.difference.WeightsClampedAbove(*request.clamp_weights_above);
       }
       built_difference = true;
     }
@@ -759,115 +759,6 @@ Result<MiningResponse> MinerSession::Mine(const MiningRequest& request,
     warm_support_ = response.graph_affinity.front().vertices;
   }
   return response;
-}
-
-Result<std::vector<MiningResponse>> MinerSession::MineAll(
-    std::span<const MiningRequest> requests) {
-  std::vector<MiningResponse> responses(requests.size());
-  if (requests.empty()) return responses;
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const Status status = requests[i].Validate();
-    if (!status.ok()) {
-      return Status(status.code(), "request #" + std::to_string(i) + ": " +
-                                       status.message());
-    }
-  }
-  DCS_RETURN_NOT_OK(FlushUpdates());
-  RefreshHealth();  // same entry-point ladder step as Mine
-
-  // Phase 1 (caller thread): prepare every pipeline, in request order so
-  // cache hits, evictions and rebuild counters match sequential mining. The
-  // snapshots pin the prepared artifacts, so concurrent eviction — by this
-  // batch's own later preparations or by other sessions sharing the cache —
-  // cannot invalidate a solve in phase 2.
-  std::vector<PipelineCache::Snapshot> pipelines(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    WallTimer build_timer;
-    bool reused = false;
-    Result<PipelineCache::Snapshot> prepared =
-        PreparePipeline(requests[i], !AverageDegreeOnly(requests[i]), &reused);
-    if (!prepared.ok()) {
-      return prepared.status();
-    }
-    pipelines[i] = std::move(*prepared);
-    responses[i].telemetry.build_seconds = build_timer.Seconds();
-    responses[i].telemetry.reused_cached_difference = reused;
-    responses[i].telemetry.session_rebuilds = num_rebuilds_;
-    FillCacheTelemetry(&responses[i].telemetry);
-  }
-
-  // Phase 2 (worker pool): solve. Solvers only read the prepared pipelines;
-  // warm-start seeds are frozen at batch entry.
-  //
-  // The session's thread budget P is split between the two parallelism
-  // levels: up to inter = min(P, #requests) requests run concurrently on the
-  // shared pool, and request #i is granted an intra-request seed-shard
-  // budget (taken up by requests whose ga_solver.parallelism is 0 = auto).
-  // The per-request grants always satisfy two invariants: every request
-  // gets at least one thread even when #requests > P (no zero-thread
-  // shards — the budget degrades to sequential solves, never to starved
-  // ones), and the floor(P / inter) division's remainder is spread over the
-  // leading slots instead of being dropped (P = 8, 3 requests grants
-  // {3, 3, 2}, not {2, 2, 2}). Mined subgraphs are parallelism-invariant,
-  // so uneven grants cannot skew results — only wall time. Nested sharding
-  // reuses the same pool — RunTasks callers participate in their own group,
-  // so the nesting cannot deadlock.
-  const size_t budget = ParallelismBudget();
-  const size_t inter = std::max<size_t>(1, std::min(budget, requests.size()));
-  const uint32_t intra_base =
-      static_cast<uint32_t>(std::max<size_t>(1, budget / inter));
-  const size_t intra_bonus_slots = budget > inter ? budget % inter : 0;
-  auto intra_grant = [&](size_t i) -> uint32_t {
-    return intra_base + (i < intra_bonus_slots ? 1 : 0);
-  };
-  bool any_intra = false;
-  for (const MiningRequest& request : requests) {
-    any_intra |= WantsIntraParallelism(request);
-  }
-  // Only a batch with intra-parallel requests can occupy the whole budget
-  // (inter × intra); a purely sequential-solver batch needs inter slots.
-  ThreadPool* pool = nullptr;
-  if (any_intra || inter > 1) {
-    pool = EnsurePool(any_intra ? budget : inter);
-  }
-
-  const std::vector<VertexId> warm_snapshot = warm_support_;
-  std::vector<Status> statuses(requests.size(), Status::OK());
-  auto solve_one = [&](size_t i) {
-    WallTimer solve_timer;
-    const std::span<const VertexId> warm =
-        requests[i].warm_start ? std::span<const VertexId>(warm_snapshot)
-                               : std::span<const VertexId>();
-    // Demote solver exceptions (libdcs is exception-free, but registered
-    // solvers need not be) to the Status contract instead of letting them
-    // tear through the pool.
-    try {
-      statuses[i] = Solve(*pipelines[i], requests[i], warm, pool,
-                          intra_grant(i), /*cancel=*/nullptr, &responses[i]);
-    } catch (const std::exception& e) {
-      statuses[i] = Status::Internal(std::string("solver threw: ") + e.what());
-    } catch (...) {
-      statuses[i] = Status::Internal("solver threw a non-std exception");
-    }
-    responses[i].telemetry.solve_seconds = solve_timer.Seconds();
-  };
-  if (pool != nullptr) {
-    pool->RunTasks(requests.size(), solve_one);
-  } else {
-    for (size_t i = 0; i < requests.size(); ++i) solve_one(i);
-  }
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (!statuses[i].ok()) return statuses[i];
-  }
-  // Leave the warm seed where sequential mining would have left it.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].measure != Measure::kAverageDegree &&
-        !responses[i].graph_affinity.empty()) {
-      warm_support_ = responses[i].graph_affinity.front().vertices;
-    }
-  }
-  return responses;
 }
 
 Result<Graph> MinerSession::DifferenceSnapshot(double alpha, bool flip) {

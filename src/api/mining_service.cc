@@ -614,13 +614,27 @@ size_t MiningService::queued_request_bytes() const {
   return queued_request_bytes_;
 }
 
+void MiningService::RefreshIdleHealthLocked() const {
+  // An idle tenant's session is touched only under mutex_ with busy false —
+  // the same handoff that keeps it single-threaded between executors.
+  for (const auto& tenant : tenants_) {
+    if (tenant->busy) continue;
+    tenant->session.RefreshHealth();
+    tenant->MirrorSessionHealth();
+  }
+}
+
 HealthState MiningService::health() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return health_;
+  RefreshIdleHealthLocked();
+  HealthState worst = HealthState::kHealthy;
+  for (const auto& tenant : tenants_) worst = WorseOf(worst, tenant->health);
+  return worst;
 }
 
 uint64_t MiningService::num_health_transitions() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  RefreshIdleHealthLocked();
   uint64_t total = 0;
   for (const auto& tenant : tenants_) total += tenant->health_transitions;
   return total;
@@ -628,6 +642,7 @@ uint64_t MiningService::num_health_transitions() const {
 
 uint64_t MiningService::num_store_write_errors() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  RefreshIdleHealthLocked();
   uint64_t total = 0;
   for (const auto& tenant : tenants_) total += tenant->store_write_errors;
   return total;
@@ -635,6 +650,7 @@ uint64_t MiningService::num_store_write_errors() const {
 
 uint64_t MiningService::num_store_retries() const {
   std::lock_guard<std::mutex> lock(mutex_);
+  RefreshIdleHealthLocked();
   uint64_t total = 0;
   for (const auto& tenant : tenants_) total += tenant->store_retries;
   return total;
@@ -869,13 +885,7 @@ void MiningService::RunTenantOnce(std::unique_lock<std::mutex>* lock,
     lock->lock();
 
     --num_running_jobs_;
-    tenant->health = tenant->session.health();
-    tenant->health_transitions = tenant->session.num_health_transitions();
-    tenant->store_write_errors = tenant->session.num_store_write_errors();
-    tenant->store_retries = tenant->session.num_store_retries();
-    HealthState worst = HealthState::kHealthy;
-    for (const auto& t : tenants_) worst = WorseOf(worst, t->health);
-    health_ = worst;
+    tenant->MirrorSessionHealth();
     job->run_seconds = run_seconds;
     tenant->stats.total_run_seconds += run_seconds;
     if (mined.ok()) {

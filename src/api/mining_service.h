@@ -344,12 +344,15 @@ class MiningService {
   /// (and the C ABI) can size max_queued_request_bytes meaningfully.
   static size_t ApproxRequestBytes(const MiningRequest& request);
   /// \brief The worst position on the graceful-degradation ladder
-  /// (api/mining.h) across all tenant sessions, mirrored into the service
-  /// after every executed job so callers never race the executors. A
-  /// service that has not run a job yet reports kHealthy.
+  /// (api/mining.h) across all tenant sessions. A tenant with no job in
+  /// flight is re-evaluated on every call (MinerSession::RefreshHealth), so
+  /// an async store write-back that failed after its last job shows up
+  /// here — e.g. after the caller Flush()es the store. A tenant whose job is
+  /// running reports the state its executor mirrored when its previous job
+  /// ended, so callers never race the executors.
   HealthState health() const;
   /// Ladder transitions / store failure counters summed across tenants,
-  /// mirrored like health().
+  /// refreshed and mirrored like health().
   uint64_t num_health_transitions() const;
   uint64_t num_store_write_errors() const;
   uint64_t num_store_retries() const;
@@ -426,11 +429,20 @@ class MiningService {
     double vtime = 0.0;
     TenantStats stats;
     // Session health mirror, refreshed by the executor that ran the
-    // tenant's latest job (see MiningService::health()).
+    // tenant's latest job and by health reads while the tenant is idle
+    // (see MiningService::health()).
     HealthState health = HealthState::kHealthy;
     uint64_t health_transitions = 0;
     uint64_t store_write_errors = 0;
     uint64_t store_retries = 0;
+
+    // Copies the session's ladder state into the mirror above.
+    void MirrorSessionHealth() {
+      health = session.health();
+      health_transitions = session.num_health_transitions();
+      store_write_errors = session.num_store_write_errors();
+      store_retries = session.num_store_retries();
+    }
   };
 
   // RAII registration of a Wait()/Drain() caller about to block on
@@ -479,6 +491,11 @@ class MiningService {
   // True when every tenant queue is empty and no executor is busy — the
   // Drain condition. Mutex held.
   bool IdleLocked() const;
+  // Runs the ladder step of every tenant with no job in flight and
+  // re-mirrors it; busy tenants keep their executor's mirror. Const like
+  // the health accessors that call it: only the mirrors and the sessions'
+  // ladders advance. Mutex held.
+  void RefreshIdleHealthLocked() const;
   // Smallest vtime among *other* tenants with work queued or in flight;
   // `fallback` when there is none. The idle catch-up bound of the fair
   // clock. Mutex held.
@@ -548,9 +565,6 @@ class MiningService {
   uint64_t num_deadline_exceeded_ = 0;
   uint64_t num_admission_rejections_ = 0;
   uint64_t finish_seq_ = 0;
-  // Service health mirror aggregated over the per-tenant mirrors after
-  // every executed job (see health() above).
-  HealthState health_ = HealthState::kHealthy;
   size_t num_queued_jobs_ = 0;         // kQueued jobs across all queues
   size_t queued_request_bytes_ = 0;    // byte-budget gauge
   size_t num_running_jobs_ = 0;        // jobs inside an executor

@@ -17,9 +17,10 @@
 // Find'ing a function pointer once published is always safe to call.
 //
 // Determinism: a registered solver must be a pure function of
-// (context, request) — MinerSession::MineAll invokes solvers from multiple
-// worker threads concurrently, and the facade's bit-identical batching /
-// shared-cache guarantees only extend to solvers that honor this.
+// (context, request) — a multi-executor MiningService invokes solvers from
+// several executor threads concurrently, and the facade's bit-identical
+// multi-tenant / shared-cache guarantees only extend to solvers that honor
+// this.
 
 #ifndef DCS_API_SOLVER_REGISTRY_H_
 #define DCS_API_SOLVER_REGISTRY_H_
@@ -56,10 +57,9 @@ struct SolverContext {
   /// The session's shared worker pool for intra-request parallelism; may be
   /// null (solvers must degrade to sequential or spawn transiently).
   ThreadPool* pool = nullptr;
-  /// Intra-request worker budget the session grants this solve (>= 1).
-  /// MineAll splits the pool budget between concurrent requests; Mine grants
-  /// the whole budget. Solvers honor it when the request's own parallelism
-  /// knob says "auto" (0).
+  /// Intra-request worker budget the session grants this solve (>= 1):
+  /// the session's whole thread budget. Solvers honor it when the request's
+  /// own parallelism knob says "auto" (0).
   uint32_t parallelism_budget = 1;
   /// Previous solution's support for warm starting; empty unless the request
   /// opted in and the session has one.
@@ -72,8 +72,8 @@ struct SolverContext {
 };
 
 /// A solver: prepared inputs + request → ranked subgraphs. Must be pure
-/// (no shared mutable state) — MinerSession::MineAll invokes solvers from
-/// multiple threads concurrently.
+/// (no shared mutable state) — a multi-executor MiningService invokes
+/// solvers from several threads concurrently.
 using SolverFn = Result<std::vector<RankedSubgraph>> (*)(
     const SolverContext& context, const MiningRequest& request,
     MiningTelemetry* telemetry);

@@ -36,7 +36,6 @@ namespace {
 enum CounterIdx : int {
   kIdxDifferenceRows = 0,
   kIdxDiscretizeElements,
-  kIdxClampElements,
   kIdxAxpyElements,
   kIdxExtremesScans,
   kIdxSupportReductions,
@@ -161,7 +160,6 @@ KernelCounters KernelCountersSnapshot() {
   KernelCounters out;
   out.difference_rows = sum[kIdxDifferenceRows];
   out.discretize_elements = sum[kIdxDiscretizeElements];
-  out.clamp_elements = sum[kIdxClampElements];
   out.axpy_elements = sum[kIdxAxpyElements];
   out.extremes_scans = sum[kIdxExtremesScans];
   out.support_reductions = sum[kIdxSupportReductions];
@@ -242,59 +240,6 @@ void DiscretizeMapPacked(const double* in, double* out, size_t count,
 #endif
   DiscretizeMapScalar(in, out, count, spec);
 }
-
-// ---------------------------------------------------------------------------
-// Clamp
-// ---------------------------------------------------------------------------
-
-namespace {
-
-#if DCS_KERNELS_X86
-// std::min(w, cap) bit semantics: take cap only when cap < w, otherwise keep
-// w's bits (including when equal) — a blendv on (cap < w), not min_pd.
-__attribute__((target("avx2"))) inline __m256d MinStd(__m256d w, __m256d cap) {
-  return _mm256_blendv_pd(w, cap, _mm256_cmp_pd(cap, w, _CMP_LT_OQ));
-}
-
-// Clamp over the Neighbor AoS layout: each 32-byte load covers two
-// neighbors, with lanes 0/2 holding the packed vertex ids and lanes 1/3 the
-// weights. The blend writes only the weight lanes, so the id lanes pass
-// through bit-exact (the spurious FP compare on id-bit patterns can at worst
-// set exception flags, which libdcs never reads).
-__attribute__((target("avx2"))) void ClampAosAvx2(Neighbor* neighbors,
-                                                  size_t count, double cap) {
-  static_assert(sizeof(Neighbor) == 16 && offsetof(Neighbor, weight) == 8,
-                "AoS clamp assumes {u32 id, pad, f64 weight} layout");
-  const __m256d capv = _mm256_set1_pd(cap);
-  double* raw = reinterpret_cast<double*>(neighbors);
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const __m256d v = _mm256_loadu_pd(raw + 2 * i);
-    _mm256_storeu_pd(raw + 2 * i, _mm256_blend_pd(v, MinStd(v, capv), 0b1010));
-  }
-  for (; i < count; ++i) {
-    neighbors[i].weight = std::min(neighbors[i].weight, cap);
-  }
-}
-#endif  // DCS_KERNELS_X86
-
-void ClampAosWeights(Neighbor* neighbors, size_t count, double cap) {
-  CounterBlock& counters = Tls();
-  Bump(counters, kIdxClampElements, count);
-#if DCS_KERNELS_X86
-  if (UseAvx2(counters)) {
-    ClampAosAvx2(neighbors, count, cap);
-    return;
-  }
-#else
-  UseAvx2(counters);
-#endif
-  for (size_t i = 0; i < count; ++i) {
-    neighbors[i].weight = std::min(neighbors[i].weight, cap);
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // dx accumulation (SetX inner loop)
@@ -683,13 +628,6 @@ Graph GraphKernels::PositivePart(const Graph& gd) {
   neighbors.resize(out);
   neighbors.shrink_to_fit();
   return Graph(std::move(offsets), std::move(neighbors));
-}
-
-Graph GraphKernels::WeightsClampedAbove(const Graph& gd, double cap) {
-  DCS_CHECK(cap > 0.0) << "clamp cap must be positive, got " << cap;
-  Graph out = gd;
-  ClampAosWeights(out.neighbors_.data(), out.neighbors_.size(), cap);
-  return out;
 }
 
 }  // namespace dcs

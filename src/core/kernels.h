@@ -1,12 +1,12 @@
 // The measured kernel layer: the hot loops every DCSGA solve runs —
-// difference-graph row merge, discretize map, GD+ clamp sweep, dx (affinity)
+// difference-graph row merge, discretize map, GD+ compaction, dx (affinity)
 // accumulation, gradient-extremes scan, support reduction and the smart-init
 // seed-order sort — with SIMD or memory-layout variants only where they
 // were measured to beat scalar on the library's path.
 //
 // Which kernels dispatch on the ISA:
 //  * AVX2 vs scalar: DiscretizeMapPacked, ScanGradientExtremes (candidate
-//    sets of 8 or more), SeedOrderSort and GraphKernels::WeightsClampedAbove.
+//    sets of 8 or more) and SeedOrderSort.
 //  * Scalar only: AxpyScatter and SupportReduce, whose AVX2 variants
 //    measured at or below the ordered loops in bench_micro_kernels.
 //    BuildDifferenceGraph and PositivePart are layout rewrites with no ISA
@@ -14,11 +14,11 @@
 //
 // Exactness contract: every kernel is *bit-identical* to the scalar
 // reference it replaced, on every ISA and at every thread count.
-// Elementwise work (compare/select discretize, min-clamp, the
-// strict-first-wins extremes scan) vectorizes exactly; floating-point sums
-// never reassociate. No FMA contraction anywhere: the SIMD paths use
-// explicit intrinsics and the build sets -ffp-contract=off, so -DDCS_NATIVE
-// cannot silently fuse the scalar reference either.
+// Elementwise work (compare/select discretize, the strict-first-wins
+// extremes scan) vectorizes exactly; floating-point sums never reassociate.
+// No FMA contraction anywhere: the SIMD paths use explicit intrinsics and
+// the build sets -ffp-contract=off, so -DDCS_NATIVE cannot silently fuse
+// the scalar reference either.
 //
 // Dispatch: AVX2 variants are compiled with per-function target attributes
 // (no global -mavx2 needed) and selected at runtime via CPUID; tests and
@@ -74,7 +74,6 @@ void ResetForcedKernelIsa();
 struct KernelCounters {
   uint64_t difference_rows = 0;      ///< rows merged by the difference build
   uint64_t discretize_elements = 0;  ///< weights pushed through the map
-  uint64_t clamp_elements = 0;       ///< weights pushed through the clamp
   uint64_t axpy_elements = 0;        ///< edge visits in dx accumulation
   uint64_t extremes_scans = 0;       ///< gradient-extremes scans
   uint64_t support_reductions = 0;   ///< support-sum reductions
@@ -166,11 +165,6 @@ class GraphKernels {
   /// surviving entries row by row.
   static Result<Graph> DiscretizeWeights(const Graph& gd,
                                          const DiscretizeSpec& spec);
-
-  /// Kernel twin of Graph::WeightsClampedAbove: clamps the copied Neighbor
-  /// array in place (AVX2 blends the weight lanes of the 16-byte AoS
-  /// layout, leaving the id lanes untouched bit for bit).
-  static Graph WeightsClampedAbove(const Graph& gd, double cap);
 
   /// Kernel twin of Graph::PositivePart: one branchless compaction pass
   /// writing the kept rows straight into the output CSR (the reference does

@@ -3,14 +3,12 @@
 // The pool owns `num_workers` threads draining a shared FIFO task queue.
 // Work is submitted in groups via RunTasks(n, fn), which executes fn(0..n-1)
 // and blocks until every index finished. The calling thread participates in
-// its own group, which gives two properties the libdcs scale-out path needs:
+// its own group, which gives two properties:
 //
 //  * total concurrency of a group is num_workers + 1, so a pool budget of P
 //    is built as ThreadPool(P - 1);
-//  * RunTasks may be called from inside a pool task (MineAll solves requests
-//    on the pool, and each request's NewSEA shards its seeds onto the same
-//    pool) without deadlock — even when every worker is busy, the nested
-//    caller drains its own group.
+//  * RunTasks may be called from inside a pool task without deadlock — even
+//    when every worker is busy, the nested caller drains its own group.
 //
 // The first exception thrown by any task of a group is captured and rethrown
 // from that group's RunTasks; remaining tasks still run to completion.

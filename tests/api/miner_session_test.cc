@@ -14,6 +14,7 @@
 #include "core/dcs_greedy.h"
 #include "core/newsea.h"
 #include "gen/coauthor.h"
+#include "gen/random_graphs.h"
 #include "graph/difference.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -411,6 +412,83 @@ TEST(MinerSessionTest, TopKRequestsRankAndRespectDisjointness) {
   ASSERT_EQ(response->average_degree.size(), 2u);
   EXPECT_EQ(response->average_degree[0].vertices,
             (std::vector<VertexId>{0, 1, 2}));
+}
+
+// A substantial session input: an empty G1 against a random signed G2, so
+// the difference graph has hundreds of candidate seeds to shard.
+std::pair<Graph, Graph> RandomSessionGraphs() {
+  Rng rng(31);
+  Result<Graph> g2 = RandomSignedGraph(/*n=*/250, /*m=*/2000,
+                                       /*positive_fraction=*/0.7,
+                                       /*magnitude_lo=*/0.5,
+                                       /*magnitude_hi=*/3.0, &rng);
+  DCS_CHECK(g2.ok());
+  return {MakeGraph(250, {}), std::move(g2).value()};
+}
+
+// Only the mined subgraphs are compared: intra-request parallelism keeps
+// them bit-identical while the work-counter telemetry legitimately varies
+// with thread timing.
+TEST(MinerSessionTest, IntraRequestParallelismKeepsMinedSubgraphsIdentical) {
+  auto [g1, g2] = RandomSessionGraphs();
+
+  // Reference: strictly sequential session (budget 1).
+  SessionOptions sequential_options;
+  sequential_options.max_parallelism = 1;
+  Result<MinerSession> sequential =
+      MinerSession::Create(g1, g2, sequential_options);
+  ASSERT_TRUE(sequential.ok());
+
+  // Parallel: budget 4, which Mine grants whole to the auto knob.
+  SessionOptions parallel_options;
+  parallel_options.max_parallelism = 4;
+  Result<MinerSession> parallel =
+      MinerSession::Create(g1, g2, parallel_options);
+  ASSERT_TRUE(parallel.ok());
+
+  std::vector<MiningRequest> requests(2);
+  requests[0].measure = Measure::kGraphAffinity;
+  requests[0].ga_solver.parallelism = 0;  // auto
+  requests[1].measure = Measure::kBoth;
+  requests[1].alpha = 2.0;
+  requests[1].ga_solver.parallelism = 0;
+
+  for (size_t i = 0; i < requests.size(); ++i) {
+    Result<MiningResponse> expected = sequential->Mine(requests[i]);
+    Result<MiningResponse> actual = parallel->Mine(requests[i]);
+    ASSERT_TRUE(expected.ok());
+    ASSERT_TRUE(actual.ok());
+    EXPECT_EQ(::dcs::testing::SerializeSubgraphs(*actual),
+              ::dcs::testing::SerializeSubgraphs(*expected))
+        << "request #" << i;
+    EXPECT_FALSE(actual->graph_affinity.empty()) << "request #" << i;
+  }
+}
+
+TEST(MinerSessionTest, ExplicitIntraParallelismOnSingleMine) {
+  auto [g1, g2] = RandomSessionGraphs();
+  Result<MinerSession> sequential = MinerSession::Create(g1, g2);
+  ASSERT_TRUE(sequential.ok());
+
+  SessionOptions options;
+  options.max_parallelism = 4;
+  Result<MinerSession> parallel = MinerSession::Create(g1, g2, options);
+  ASSERT_TRUE(parallel.ok());
+
+  MiningRequest request;
+  request.measure = Measure::kGraphAffinity;
+  Result<MiningResponse> expected = sequential->Mine(request);
+  ASSERT_TRUE(expected.ok());
+
+  for (const uint32_t threads : {2u, 4u, 7u}) {
+    MiningRequest parallel_request = request;
+    parallel_request.ga_solver.parallelism = threads;
+    Result<MiningResponse> actual = parallel->Mine(parallel_request);
+    ASSERT_TRUE(actual.ok());
+    EXPECT_EQ(::dcs::testing::SerializeSubgraphs(*actual),
+              ::dcs::testing::SerializeSubgraphs(*expected))
+        << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "api/mining_service.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -17,12 +18,14 @@
 #include <utility>
 #include <vector>
 
+#include "api/artifact_store.h"
 #include "api/job_journal.h"
 #include "api/miner_session.h"
 #include "api/pipeline_cache.h"
 #include "api/solver_registry.h"
 #include "gen/random_graphs.h"
 #include "test_util.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -233,6 +236,41 @@ TEST(MiningServiceTest, InvalidRequestFailsTheJobWithItsValidationStatus) {
   ASSERT_TRUE(status.ok());
   EXPECT_EQ(status->state, JobState::kFailed);
   EXPECT_TRUE(status->failure.IsInvalidArgument());
+}
+
+TEST(MiningServiceTest, HealthSeesAWriteBackThatFailedAfterTheJob) {
+  // The tenant's job ends healthy; a store write-back that fails afterwards
+  // (here: another session's, on the same store) must still show in the
+  // service's health once the store is flushed, with the tenant idle.
+  const std::string path = ::testing::TempDir() + "mining_service_health_" +
+                           std::to_string(getpid()) + ".dcs";
+  std::filesystem::remove(path);
+  Result<std::shared_ptr<ArtifactStore>> store = ArtifactStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SessionOptions options;
+  options.artifact_store = *store;
+  MiningService service(MustCreate(Fig1G1(), Fig1G2(), options));
+  Result<JobId> id = service.Submit(MiningRequest{});
+  ASSERT_TRUE(id.ok());
+  Result<JobStatus> status = service.Wait(*id);
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->state, JobState::kDone);
+  ASSERT_TRUE((*store)->Flush().ok());
+  EXPECT_EQ(service.health(), HealthState::kHealthy);
+
+  // The registry is process-global: disarm it for the tests that follow,
+  // whichever assertion ends this one.
+  struct Disarm {
+    ~Disarm() { FaultInjection::Global().Reset(); }
+  } disarm;
+  ASSERT_TRUE(FaultInjection::Global().ArmText("store.append:every=1").ok());
+  MinerSession other = MustCreate(Fig1G1(), Fig1G2(), options);
+  MiningRequest new_pipeline;
+  new_pipeline.alpha = 2.0;
+  ASSERT_TRUE(other.Mine(new_pipeline).ok());
+  EXPECT_FALSE((*store)->Flush().ok());
+  EXPECT_EQ(service.health(), HealthState::kDegraded);
+  EXPECT_GE(service.num_store_write_errors(), 1u);
 }
 
 TEST(MiningServiceTest, BadUpdatesAreRejectedEagerly) {

@@ -20,7 +20,6 @@
 #include "gen/random_graphs.h"
 #include "graph/difference.h"
 #include "graph/graph.h"
-#include "graph/graph_builder.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -60,7 +59,7 @@ void ExpectGraphsBitIdentical(const Graph& a, const Graph& b) {
 }
 
 // Mixed magnitudes, signs, exact threshold hits, signed zeros and the
-// values a discretize/clamp/reduce kernel could round differently.
+// values a discretize/reduce kernel could round differently.
 std::vector<double> AdversarialDoubles(const DiscretizeSpec& spec) {
   std::vector<double> values = {
       0.0,
@@ -104,25 +103,15 @@ TEST(KernelDispatchTest, ForceAndResetControlActiveIsa) {
 }
 
 TEST(KernelDispatchTest, CountersAdvanceWhenKernelsRun) {
-  // A 33-vertex path: 32 edges, 64 Neighbor entries through the clamp.
-  GraphBuilder builder(33);
-  for (VertexId v = 0; v + 1 < 33; ++v) {
-    ASSERT_TRUE(builder.AddEdge(v, v + 1, 1.5).ok());
-  }
-  Result<Graph> path = builder.Build();
-  ASSERT_TRUE(path.ok());
   const KernelCounters before = KernelCountersSnapshot();
   std::vector<double> values(64, 1.5);
   DiscretizeSpec spec;
   DiscretizeMapPacked(values.data(), values.data(), values.size(), spec);
-  const Graph clamped = GraphKernels::WeightsClampedAbove(*path, 1.0);
-  EXPECT_EQ(clamped.NumEdges(), 32u);
   const KernelCounters middle = KernelCountersSnapshot();
   EXPECT_EQ(middle.discretize_elements - before.discretize_elements, 64u);
-  EXPECT_EQ(middle.clamp_elements - before.clamp_elements, 64u);
   EXPECT_GE((middle.avx2_calls + middle.scalar_calls) -
                 (before.avx2_calls + before.scalar_calls),
-            2u);
+            1u);
 
   // The scalar-only kernels still report every call as a scalar call.
   const std::vector<VertexId> ids = {0, 1, 2};
@@ -176,43 +165,6 @@ TEST(KernelBitIdentityTest, DiscretizeMapHandlesNonDefaultSpec) {
   }
   for (size_t i = 0; i < input.size(); ++i) {
     EXPECT_TRUE(SameBits(scalar_out[i], avx2_out[i])) << input[i];
-  }
-}
-
-TEST(KernelBitIdentityTest, ClampMatchesStdMinBitwise) {
-  SKIP_WITHOUT_AVX2();
-  // The AoS clamp behind GraphKernels::WeightsClampedAbove, over a path
-  // whose edge weights are the finite adversarial values (the builder
-  // rejects non-finite weights and drops |w| <= zero_eps). Odd and even
-  // entry counts both occur across the rows, so the two-neighbor vector
-  // step and its scalar tail are each exercised.
-  std::vector<double> input;
-  for (const double w : AdversarialDoubles(DiscretizeSpec{})) {
-    if (std::isfinite(w) && std::fabs(w) > kDefaultZeroEps) input.push_back(w);
-  }
-  const VertexId n = static_cast<VertexId>(input.size() + 1);
-  GraphBuilder builder(n);
-  for (VertexId v = 0; v + 1 < n; ++v) {
-    ASSERT_TRUE(builder.AddEdge(v, v + 1, input[v]).ok());
-  }
-  Result<Graph> path = builder.Build();
-  ASSERT_TRUE(path.ok());
-  for (const double cap : {1.0, 2.5, 1e-300, 1e300}) {
-    Graph scalar_out(0), avx2_out(0);
-    {
-      ScopedIsa isa(KernelIsa::kScalar);
-      scalar_out = GraphKernels::WeightsClampedAbove(*path, cap);
-    }
-    {
-      ScopedIsa isa(KernelIsa::kAvx2);
-      avx2_out = GraphKernels::WeightsClampedAbove(*path, cap);
-    }
-    ExpectGraphsBitIdentical(scalar_out, avx2_out);
-    for (VertexId v = 0; v + 1 < n; ++v) {
-      EXPECT_TRUE(SameBits(scalar_out.EdgeWeight(v, v + 1),
-                           std::min(input[v], cap)))
-          << input[v] << " cap " << cap;
-    }
   }
 }
 
@@ -482,16 +434,6 @@ TEST(GraphKernelsTest, PositivePartTwinMatchesReference) {
   const Graph mixed = MakeGraph(5, {{0, 1, 3.0}, {0, 3, -1.0}, {3, 4, 2.0}});
   ExpectGraphsBitIdentical(mixed.PositivePart(),
                            GraphKernels::PositivePart(mixed));
-}
-
-TEST(GraphKernelsTest, ClampTwinMatchesReference) {
-  Rng rng(23);
-  Result<Graph> gd = RandomSignedGraph(200, 1500, 0.6, 0.5, 4.0, &rng);
-  ASSERT_TRUE(gd.ok());
-  for (const double cap : {0.75, 2.0, 100.0}) {
-    ExpectGraphsBitIdentical(gd->WeightsClampedAbove(cap),
-                             GraphKernels::WeightsClampedAbove(*gd, cap));
-  }
 }
 
 // --- End-to-end: solver bit-identity across ISA × thread count -------------

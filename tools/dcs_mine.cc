@@ -10,9 +10,8 @@
 //
 // This tool consumes the api/ facade only (see tools/check_layering.sh):
 // the whole difference-graph pipeline (build → discretize → clamp →
-// GD+/smart-bounds → solve → rank) lives behind MinerSession, the async
-// path behind MiningService, and the cross-session path behind a shared
-// PipelineCache.
+// GD+/smart-bounds → solve → rank) lives behind MinerSession, and the
+// async and multi-tenant paths behind MiningService.
 
 #include <cerrno>
 #include <chrono>
@@ -58,14 +57,11 @@ constexpr FlagSpec kFlagTable[] = {
     {"--async", "",
      "submit through the MiningService job queue and poll the "
      "queued -> running -> done lifecycle"},
-    {"--shared-cache", "<n>",
-     "mine through n concurrent sessions attached to one shared "
-     "PipelineCache; prints per-session and cache telemetry"},
     {"--tenants", "<n>",
      "submit the request to n tenants of one multi-tenant MiningService "
      "(shared executors, worker pool and pipeline cache); asserts all "
      "tenant responses bit-identical and prints per-tenant scheduler "
-     "telemetry"},
+     "and shared-cache telemetry"},
     {"--store", "<path>",
      "attach a persistent artifact store: warm-boot prepared pipelines "
      "from <path> and write new ones back (created when missing)"},
@@ -94,12 +90,11 @@ struct Args {
   bool flip = false;
   uint32_t topk = 1;
   bool async = false;
-  uint32_t shared_cache_sessions = 0;  // 0 = single-session mode
-  uint32_t tenants = 0;                // 0 = single-tenant modes
-  std::string store_path;              // empty = memory-only
-  std::string journal_path;            // empty = no job journal
-  double deadline_seconds = 0.0;       // 0 = no deadline
-  std::string inject_spec;             // empty = fault injection disarmed
+  uint32_t tenants = 0;           // 0 = single-tenant modes
+  std::string store_path;         // empty = memory-only
+  std::string journal_path;       // empty = no job journal
+  double deadline_seconds = 0.0;  // 0 = no deadline
+  std::string inject_spec;        // empty = fault injection disarmed
   bool quiet = false;
   bool help = false;
 };
@@ -198,14 +193,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                      value);
         return false;
       }
-    } else if (flag == "--shared-cache" && next_value(&value)) {
-      if (!ParseUint32Strict(value, &args->shared_cache_sessions) ||
-          args->shared_cache_sessions == 0) {
-        std::fprintf(stderr,
-                     "invalid session count for --shared-cache: '%s'\n",
-                     value);
-        return false;
-      }
     } else if (flag == "--tenants" && next_value(&value)) {
       if (!ParseUint32Strict(value, &args->tenants) || args->tenants == 0) {
         std::fprintf(stderr, "invalid tenant count for --tenants: '%s'\n",
@@ -253,24 +240,8 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "--alpha must be positive\n");
     return false;
   }
-  if (args->async && args->shared_cache_sessions > 0) {
-    std::fprintf(stderr, "--async and --shared-cache are exclusive\n");
-    return false;
-  }
-  if (args->deadline_seconds > 0.0 && args->shared_cache_sessions > 0) {
-    std::fprintf(stderr, "--deadline and --shared-cache are exclusive\n");
-    return false;
-  }
-  if (args->tenants > 0 &&
-      (args->async || args->shared_cache_sessions > 0)) {
-    std::fprintf(stderr,
-                 "--tenants subsumes --async and excludes --shared-cache\n");
-    return false;
-  }
-  if (!args->journal_path.empty() && args->shared_cache_sessions > 0) {
-    // The journal is a MiningService feature; the shared-cache mode mines
-    // through bare sessions with no admission to journal.
-    std::fprintf(stderr, "--journal and --shared-cache are exclusive\n");
+  if (args->tenants > 0 && args->async) {
+    std::fprintf(stderr, "--tenants subsumes --async\n");
     return false;
   }
   return true;
@@ -301,79 +272,50 @@ bool SameRanking(const std::vector<RankedSubgraph>& a,
   return true;
 }
 
-// The --shared-cache path: n sessions over copies of the same graphs, all
-// attached to one PipelineCache, mining `request` concurrently. Exactly one
-// session pays the pipeline preparation; every response must be
-// bit-identical (the cross-session determinism guarantee). Returns the
-// response of session 0, or an error status.
-Result<MiningResponse> MineSharedCache(
-    const Args& args, const Graph& g1, const Graph& g2,
-    const MiningRequest& request,
-    const std::shared_ptr<ArtifactStore>& store) {
-  const uint32_t n = args.shared_cache_sessions;
-  auto cache = std::make_shared<PipelineCache>();
-  std::vector<Result<MiningResponse>> responses(
-      n, Result<MiningResponse>(Status::Internal("not mined")));
-  std::vector<uint64_t> rebuilds(n, 0);
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      threads.emplace_back([&, i] {
-        SessionOptions options;
-        options.pipeline_cache = cache;
-        options.artifact_store = store;
-        Result<MinerSession> session = MinerSession::Create(g1, g2, options);
-        if (!session.ok()) {
-          responses[i] = session.status();
-          return;
-        }
-        responses[i] = session->Mine(request);
-        rebuilds[i] = session->num_rebuilds();
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!responses[i].ok()) return responses[i].status();
-  }
-  for (uint32_t i = 1; i < n; ++i) {
-    if (!SameRanking(responses[0]->average_degree,
-                     responses[i]->average_degree) ||
-        !SameRanking(responses[0]->graph_affinity,
-                     responses[i]->graph_affinity)) {
-      return Status::Internal("session " + std::to_string(i) +
-                              " diverged from session 0 — cross-session "
-                              "determinism violated");
-    }
-  }
-  if (!args.quiet) {
-    uint64_t prepared = 0;
-    for (uint32_t i = 0; i < n; ++i) prepared += rebuilds[i];
-    const PipelineCacheStats stats = cache->stats();
-    std::printf(
-        "# shared cache: %u sessions, %llu prepared the pipeline, "
-        "%llu hits / %llu misses, %zu bytes resident\n",
-        n, static_cast<unsigned long long>(prepared),
-        static_cast<unsigned long long>(stats.hits),
-        static_cast<unsigned long long>(stats.misses), stats.bytes);
-    std::printf("# all %u responses bit-identical\n", n);
-  }
-  return std::move(responses[0]);
+// Failure-domain telemetry for the `# health` line, read from whichever
+// session or service ran the mine (both go out of scope before printing).
+struct HealthReport {
+  HealthState state = HealthState::kHealthy;
+  uint64_t transitions = 0;
+  uint64_t store_write_errors = 0;
+  uint64_t store_retries = 0;
+};
+
+HealthReport ReadHealth(const MiningService& service) {
+  return {service.health(), service.num_health_transitions(),
+          service.num_store_write_errors(), service.num_store_retries()};
+}
+
+HealthReport ReadHealth(const MinerSession& session) {
+  return {session.health(), session.num_health_transitions(),
+          session.num_store_write_errors(), session.num_store_retries()};
+}
+
+// Settles the store's async write-backs. Every mode runs this *before* it
+// reads health, so injected or real store failures from this very mine are
+// already on the ladder. Returns false (reported on stderr) when a
+// write-back failed: persistence was requested and not delivered.
+bool SettleStore(ArtifactStore* store) {
+  if (store == nullptr) return true;
+  const Status settled = store->Flush();
+  if (settled.ok()) return true;
+  std::fprintf(stderr, "store write-back failed: %s\n",
+               settled.ToString().c_str());
+  return false;
 }
 
 // The --tenants path: n tenants over copies of the same graphs, scheduled
 // by one multi-tenant MiningService sharing two executors, a worker pool
 // and a pipeline cache. The request is submitted to every tenant at
 // staggered priorities; every response must be bit-identical (priority
-// reorders dispatch between tenants, never results). Returns tenant 0's
-// response, or an error status. Health telemetry is reported through the
-// out-params, mirroring the --async path.
+// reorders dispatch between tenants, never results), and the shared cache
+// counts show that one tenant prepared the pipeline for all. Returns tenant
+// 0's response, or an error status; the store is settled (`*store_settled`)
+// before the health telemetry is read into `*health`.
 Result<MiningResponse> MineMultiTenant(
     const Args& args, const Graph& g1, const Graph& g2,
     const MiningRequest& request, const std::shared_ptr<ArtifactStore>& store,
-    HealthState* health, uint64_t* health_transitions,
-    uint64_t* store_write_errors, uint64_t* store_retries) {
+    HealthReport* health, bool* store_settled) {
   const uint32_t n = args.tenants;
   MiningServiceOptions options;
   options.num_executors = 2;
@@ -426,8 +368,12 @@ Result<MiningResponse> MineMultiTenant(
   }
 
   if (!args.quiet) {
+    const PipelineCacheStats cache = options.shared_cache->stats();
     std::printf("# multi-tenant: %u tenants, 2 executors, shared pool + "
-                "cache; all responses bit-identical\n", n);
+                "cache (%llu hits / %llu misses, %zu bytes resident); all "
+                "responses bit-identical\n",
+                n, static_cast<unsigned long long>(cache.hits),
+                static_cast<unsigned long long>(cache.misses), cache.bytes);
     for (uint32_t i = 0; i < n; ++i) {
       Result<TenantStats> stats = service.tenant_stats(i);
       if (!stats.ok()) continue;
@@ -439,10 +385,8 @@ Result<MiningResponse> MineMultiTenant(
           stats->virtual_time, stats->max_queue_seconds * 1e3);
     }
   }
-  *health = service.health();
-  *health_transitions = service.num_health_transitions();
-  *store_write_errors = service.num_store_write_errors();
-  *store_retries = service.num_store_retries();
+  *store_settled = SettleStore(store.get());
+  *health = ReadHealth(service);
   return std::move(responses[0]);
 }
 
@@ -505,21 +449,12 @@ int main(int argc, char** argv) {
     store = std::move(*opened);
   }
 
-  // Failure-domain telemetry gathered by whichever mode ran, printed with
-  // the other `#` lines below (the sources — session or service — go out of
-  // scope before then).
-  HealthState health = HealthState::kHealthy;
-  uint64_t health_transitions = 0;
-  uint64_t store_write_errors = 0;
-  uint64_t store_retries = 0;
-  bool have_health = false;
-  int exit_code = 0;
-
+  HealthReport health;
+  bool store_settled = true;
   Result<MiningResponse> response = Status::Internal("not mined");
   if (args.tenants > 0) {
     response = MineMultiTenant(args, *g1, *g2, request, store, &health,
-                               &health_transitions, &store_write_errors,
-                               &store_retries);
+                               &store_settled);
     if (!response.ok()) {
       if (response.status().IsDeadlineExceeded()) {
         std::fprintf(stderr, "mining failed: %s\n",
@@ -527,14 +462,6 @@ int main(int argc, char** argv) {
         return 3;
       }
       std::fprintf(stderr, "multi-tenant mining failed: %s\n",
-                   response.status().ToString().c_str());
-      return 1;
-    }
-    have_health = true;
-  } else if (args.shared_cache_sessions > 0) {
-    response = MineSharedCache(args, *g1, *g2, request, store);
-    if (!response.ok()) {
-      std::fprintf(stderr, "shared-cache mining failed: %s\n",
                    response.status().ToString().c_str());
       return 1;
     }
@@ -617,37 +544,19 @@ int main(int argc, char** argv) {
         // so timeout-retry wrappers can tell them apart.
         return final_status->failure.IsDeadlineExceeded() ? 3 : 1;
       }
-      health = service.health();
-      health_transitions = service.num_health_transitions();
-      store_write_errors = service.num_store_write_errors();
-      store_retries = service.num_store_retries();
-      have_health = true;
       response = std::move(final_status->response);
+      store_settled = SettleStore(store.get());
+      health = ReadHealth(service);
     } else {
       response = session->Mine(request);
-    }
-    if (!response.ok()) {
-      std::fprintf(stderr, "mining failed: %s\n",
-                   response.status().ToString().c_str());
-      return 1;
-    }
-    // Settle async write-backs *before* sampling the ladder, so injected
-    // or real store failures from this very mine are already visible.
-    if (store != nullptr) {
-      const Status settled = store->Flush();
-      if (!settled.ok()) {
-        std::fprintf(stderr, "store write-back failed: %s\n",
-                     settled.ToString().c_str());
-        exit_code = 1;  // persistence was requested and not delivered
+      if (!response.ok()) {
+        std::fprintf(stderr, "mining failed: %s\n",
+                     response.status().ToString().c_str());
+        return 1;
       }
-    }
-    if (!use_service) {
+      store_settled = SettleStore(store.get());
       if (store != nullptr) session->RefreshHealth();
-      health = session->health();
-      health_transitions = session->num_health_transitions();
-      store_write_errors = session->num_store_write_errors();
-      store_retries = session->num_store_retries();
-      have_health = true;
+      health = ReadHealth(*session);
     }
   }
 
@@ -694,15 +603,13 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(telemetry.journal_truncations),
           args.journal_path.c_str());
     }
-    if (have_health) {
-      std::printf(
-          "# health: %s (%llu transitions, %llu store write errors, "
-          "%llu io retries)\n",
-          HealthStateToString(health),
-          static_cast<unsigned long long>(health_transitions),
-          static_cast<unsigned long long>(store_write_errors),
-          static_cast<unsigned long long>(store_retries));
-    }
+    std::printf(
+        "# health: %s (%llu transitions, %llu store write errors, "
+        "%llu io retries)\n",
+        HealthStateToString(health.state),
+        static_cast<unsigned long long>(health.transitions),
+        static_cast<unsigned long long>(health.store_write_errors),
+        static_cast<unsigned long long>(health.store_retries));
     if (!args.inject_spec.empty()) {
       std::printf("# inject: %llu faults fired\n",
                   static_cast<unsigned long long>(
@@ -721,5 +628,5 @@ int main(int argc, char** argv) {
       std::printf("# DCSGA: no subgraph with positive affinity difference\n");
     }
   }
-  return exit_code;
+  return store_settled ? 0 : 1;
 }

@@ -1,12 +1,18 @@
 // Micro-benchmark of the kernel layer (core/kernels.h): cycles-per-edge for
 // each kernel that has a second path to compare — difference-graph merge,
-// discretize map, positive part, seed-order sort and the gradient-extremes
-// scan — measured twice per record, once through the scalar reference and
-// once through the library's kernel under automatic dispatch, plus an
-// end-to-end mine row per dataset (reference builders + forced-scalar solve
-// vs. kernel builders + dispatched solve on the same pair). The scalar-only
-// kernels (AxpyScatter, SupportReduce) have no row: they show up only in the
-// end-to-end mine.
+// discretize map, positive part, seed-order sort, the gradient-extremes
+// scan and the greedy peel on GD and GD+ — measured twice per record, once
+// through the scalar reference and once through the library's kernel under
+// automatic dispatch, plus an end-to-end mine row per dataset (reference
+// builders + forced-scalar solve vs. kernel builders + dispatched solve on
+// the same pair). The scalar-only kernels (AxpyScatter, SupportReduce) have
+// no row: they show up only in the end-to-end mine.
+//
+// DCSGreedy's pooled peels get two more kinds of rows, at threads = 2: a
+// dcs_greedy row per dataset (sequential vs pooled RunDcsGreedy, wall time)
+// and a peel_pair sweep over small DBLP analogs (the two candidate peels
+// back to back vs as two pool tasks), which locates the size at which the
+// pool dispatch starts to pay — kDcsGreedyPooledMinSize.
 //
 // Every bench cycle asserts the exactness contract before it counts: the
 // dispatched output must be bit-identical to the scalar reference (memcmp on
@@ -18,6 +24,7 @@
 // repo; `--smoke` shrinks the dataset and repetition counts for the ctest
 // `bench_smoke_kernels` wiring.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -30,12 +37,15 @@
 #endif
 
 #include "bench_util.h"
+#include "core/dcs_greedy.h"
 #include "core/kernels.h"
 #include "core/newsea.h"
+#include "densest/peel.h"
 #include "graph/difference.h"
 #include "graph/graph.h"
 #include "util/rng.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace {
@@ -66,7 +76,7 @@ struct MicroResult {
 
 void AddRecord(JsonReporter* reporter, TablePrinter* table,
                const std::string& dataset, const std::string& kernel,
-               uint32_t reps, const MicroResult& r) {
+               uint32_t reps, const MicroResult& r, uint32_t threads = 1) {
   DCS_CHECK(r.bit_identical) << kernel << " on " << dataset
                              << ": dispatched output diverged from scalar";
   const double denom = static_cast<double>(r.edges) * reps;
@@ -77,7 +87,7 @@ void AddRecord(JsonReporter* reporter, TablePrinter* table,
                              : 1.0;
   BenchRecord record;
   record.dataset = dataset + " / " + kernel;
-  record.threads = 1;
+  record.threads = threads;
   record.wall_ms = r.kernel_ms;
   record.extra = {
       {"edges", static_cast<double>(r.edges)},
@@ -240,6 +250,110 @@ MicroResult BenchExtremesScan(VertexId n, uint32_t reps) {
   return r;
 }
 
+// --- greedy peel: heap twin vs segment-tree reference ----------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SamePeel(const PeelResult& a, const PeelResult& b) {
+  return a.peel_order == b.peel_order && a.subset == b.subset &&
+         SameBits(a.density, b.density);
+}
+
+// `positive` peels GD+. Its reference is GreedyPeel(gd.PositivePart()) —
+// copy included, as DCSGreedy ran it before the twin read GD+ in place.
+MicroResult BenchGreedyPeel(const Graph& gd, bool positive, uint32_t reps) {
+  MicroResult r;
+  r.edges = gd.NumEdges();
+  for (uint32_t i = 0; i < reps; ++i) {
+    const uint64_t t0 = CyclesNow();
+    const PeelResult reference =
+        positive ? GreedyPeel(gd.PositivePart()) : GreedyPeel(gd);
+    const uint64_t t1 = CyclesNow();
+    const PeelResult twin = GreedyPeelHeap(gd, positive);
+    const uint64_t t2 = CyclesNow();
+    r.scalar_cycles += static_cast<double>(t1 - t0);
+    r.kernel_cycles += static_cast<double>(t2 - t1);
+    r.bit_identical = r.bit_identical && SamePeel(reference, twin);
+  }
+  return r;
+}
+
+bool SameDcsad(const DcsadResult& a, const DcsadResult& b) {
+  bool same = a.subset == b.subset && SameBits(a.density, b.density) &&
+              SameBits(a.ratio_bound, b.ratio_bound) &&
+              a.component_refined == b.component_refined;
+  for (int c = 0; c < 3; ++c) {
+    same = same && SameBits(a.candidate_densities[c], b.candidate_densities[c]);
+  }
+  return same;
+}
+
+// The pool rows keep per-rep cycle counts and report the median rep
+// (scaled by reps, as AddRecord divides by them): on a shared host a
+// descheduled worker stalls the odd rep for milliseconds, which a sum
+// would charge to the pooled path.
+double MedianTimesReps(std::vector<double> cycles) {
+  std::nth_element(cycles.begin(), cycles.begin() + cycles.size() / 2,
+                   cycles.end());
+  return cycles[cycles.size() / 2] * static_cast<double>(cycles.size());
+}
+
+// Sequential ("scalar" columns) vs pooled RunDcsGreedy on a two-slot pool;
+// kernel_ms is the pooled wall time of the median rep.
+MicroResult BenchDcsGreedyPooled(const Graph& gd, ThreadPool* pool,
+                                 uint32_t reps) {
+  MicroResult r;
+  r.edges = gd.NumEdges();
+  std::vector<double> sequential_cycles, pooled_cycles, pooled_ms;
+  for (uint32_t i = 0; i < reps; ++i) {
+    const uint64_t t0 = CyclesNow();
+    Result<DcsadResult> sequential = RunDcsGreedy(gd);
+    const uint64_t t1 = CyclesNow();
+    WallTimer timer;
+    Result<DcsadResult> pooled = RunDcsGreedy(gd, pool);
+    pooled_ms.push_back(timer.Millis());
+    const uint64_t t2 = CyclesNow();
+    DCS_CHECK(sequential.ok() && pooled.ok());
+    sequential_cycles.push_back(static_cast<double>(t1 - t0));
+    pooled_cycles.push_back(static_cast<double>(t2 - t1));
+    r.bit_identical = r.bit_identical && SameDcsad(*sequential, *pooled);
+  }
+  r.scalar_cycles = MedianTimesReps(std::move(sequential_cycles));
+  r.kernel_cycles = MedianTimesReps(std::move(pooled_cycles));
+  r.kernel_ms = MedianTimesReps(std::move(pooled_ms)) / reps;
+  return r;
+}
+
+// The crossover probe: DCSGreedy's two candidate peels back to back vs as
+// two pool tasks, at any size (RunDcsGreedy itself only dispatches above
+// kDcsGreedyPooledMinSize).
+MicroResult BenchPeelPair(const Graph& gd, ThreadPool* pool, uint32_t reps) {
+  MicroResult r;
+  r.edges = gd.NumEdges();
+  PeelResult pooled[2];
+  const auto peel = [&](size_t which) {
+    pooled[which] = GreedyPeelHeap(gd, /*positive_edges_only=*/which == 1);
+  };
+  std::vector<double> sequential_cycles, pooled_cycles;
+  for (uint32_t i = 0; i < reps; ++i) {
+    const uint64_t t0 = CyclesNow();
+    const PeelResult gd_peel = GreedyPeelHeap(gd);
+    const PeelResult plus_peel = GreedyPeelHeap(gd, true);
+    const uint64_t t1 = CyclesNow();
+    pool->RunTasks(2, peel);
+    const uint64_t t2 = CyclesNow();
+    sequential_cycles.push_back(static_cast<double>(t1 - t0));
+    pooled_cycles.push_back(static_cast<double>(t2 - t1));
+    r.bit_identical = r.bit_identical && SamePeel(gd_peel, pooled[0]) &&
+                      SamePeel(plus_peel, pooled[1]);
+  }
+  r.scalar_cycles = MedianTimesReps(std::move(sequential_cycles));
+  r.kernel_cycles = MedianTimesReps(std::move(pooled_cycles));
+  return r;
+}
+
 // --- end-to-end mine: reference pipeline vs kernel pipeline -----------------
 
 std::string SerializeSolve(const DcsgaResult& result) {
@@ -351,6 +465,7 @@ int main(int argc, char** argv) {
       "Kernel layer: cycles/edge, scalar reference vs dispatched",
       {"Data", "Kernel", "Edges", "Scalar c/e", "Kernel c/e", "Speedup",
        "Bit-identical?"});
+  ThreadPool pool(1);  // two slots: the caller and one worker
   for (const PairDataset& dataset : datasets) {
     Result<Graph> gd = BuildDifferenceGraph(dataset.g1, dataset.g2);
     DCS_CHECK(gd.ok());
@@ -367,6 +482,12 @@ int main(int argc, char** argv) {
               BenchSeedOrderSort(ComputeSmartInitBounds(gd_plus).mu, reps));
     AddRecord(&reporter, &table, dataset.label, "extremes_scan", reps,
               BenchExtremesScan(gd_plus.NumVertices(), reps));
+    AddRecord(&reporter, &table, dataset.label, "greedy_peel_gd", reps,
+              BenchGreedyPeel(*gd, /*positive=*/false, reps));
+    AddRecord(&reporter, &table, dataset.label, "greedy_peel_gd_plus", reps,
+              BenchGreedyPeel(*gd, /*positive=*/true, reps));
+    AddRecord(&reporter, &table, dataset.label, "dcs_greedy", reps,
+              BenchDcsGreedyPooled(*gd, &pool, reps), /*threads=*/2);
 
     const EndToEnd e2e = BenchEndToEnd(dataset.g1, dataset.g2, reps);
     DCS_CHECK(e2e.bit_identical)
@@ -401,6 +522,20 @@ int main(int argc, char** argv) {
              e2e.kernel_ms > 0 ? e2e.reference_ms / e2e.kernel_ms : 1.0, 2),
          e2e.bit_identical ? "Yes" : "No"});
     std::fflush(stdout);
+  }
+  // Crossover sweep: |V| + |E| of GD from a few hundred to a few thousand.
+  const std::vector<VertexId> sweep_authors =
+      args.smoke ? std::vector<VertexId>{60, 240}
+                 : std::vector<VertexId>{60, 120, 240, 480, 960};
+  const uint32_t sweep_reps = args.smoke ? 20 : 400;
+  for (const VertexId authors : sweep_authors) {
+    const CoauthorData small = MakeDblpAnalog(seed + authors, authors);
+    Result<Graph> gd = BuildDifferenceGraph(small.g1, small.g2);
+    DCS_CHECK(gd.ok());
+    const std::string label =
+        "DBLP-" + std::to_string(gd->NumVertices() + gd->NumEdges());
+    AddRecord(&reporter, &table, label, "peel_pair", sweep_reps,
+              BenchPeelPair(*gd, &pool, sweep_reps), /*threads=*/2);
   }
   table.Print();
 

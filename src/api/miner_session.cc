@@ -568,17 +568,22 @@ bool MinerSession::AverageDegreeOnly(const MiningRequest& request) {
          request.ad_solver_name == "dcsad";
 }
 
-// True when the request's solve path can consume the shared pool: the knob
-// is honored by the builtin "dcsga" solver's top-1 NewSEA path only (the
-// top-k clique harvest is inherently sequential — see DcsgaOptions), while
-// custom GA solvers get the pool and may use it however they like.
+// True when the request's solve path can consume the shared pool. The
+// builtin "dcsad" top-1 solve runs DCSGreedy's two candidate peels on it,
+// under the session budget whatever the GA knob says. The GA knob is
+// honored by the builtin "dcsga" solver's top-1 NewSEA path only (the top-k
+// clique harvest is inherently sequential — see DcsgaOptions), while custom
+// GA solvers get the pool and may use it however they like.
 bool MinerSession::WantsIntraParallelism(const MiningRequest& request) {
+  if (request.measure != Measure::kGraphAffinity &&
+      request.ad_solver_name == "dcsad" && request.top_k == 1) {
+    return true;
+  }
   if (request.ga_solver.parallelism == 1) return false;
   if (request.measure == Measure::kAverageDegree) return false;
   // Mirror the builtin solver's sequential fallbacks (RunNewSea ignores the
   // knob under collect_cliques; the top-k harvest is sequential) so no pool
-  // is spawned for a solve that cannot use it. Custom solvers may use the
-  // pool however they like.
+  // is spawned for a solve that cannot use it.
   if (request.ga_solver_name != "dcsga") return true;
   return request.top_k == 1 && !request.ga_solver.collect_cliques;
 }
@@ -741,13 +746,17 @@ Result<MiningResponse> MinerSession::Mine(const MiningRequest& request,
                          : std::span<const VertexId>();
   // A single request gets up to the session's whole thread budget; the pool
   // is only spawned when the solve path can actually use it (see
-  // WantsIntraParallelism), and only as large as the request asks for
-  // (auto = whole budget).
+  // WantsIntraParallelism), and only as large as the request asks for: two
+  // slots for DCSGreedy's peels, the GA knob's count for NewSEA (auto =
+  // whole budget).
   ThreadPool* pool = nullptr;
   if (WantsIntraParallelism(request)) {
-    pool = EnsurePool(request.ga_solver.parallelism == 0
-                          ? ParallelismBudget()
-                          : request.ga_solver.parallelism);
+    const size_t ga_slots = request.ga_solver.parallelism == 0
+                                ? ParallelismBudget()
+                                : request.ga_solver.parallelism;
+    pool = EnsurePool(request.measure == Measure::kAverageDegree
+                          ? 2
+                          : std::max<size_t>(2, ga_slots));
   }
   DCS_RETURN_NOT_OK(Solve(*pipeline, request, warm, pool,
                           static_cast<uint32_t>(ParallelismBudget()), cancel,

@@ -92,8 +92,9 @@ struct SessionOptions {
   /// Total thread budget of the session's worker pool; 0 =
   /// std::thread::hardware_concurrency(). Mine grants the whole budget to
   /// its request's NewSEA seed shards (taken up when ga_solver.parallelism
-  /// is 0 = auto). The pool is spawned lazily on the first intra-parallel
-  /// solve.
+  /// is 0 = auto), and a budget of 2 or more lets the builtin top-1 "dcsad"
+  /// solve run DCSGreedy's two candidate peels side by side. The pool is
+  /// spawned lazily on the first intra-parallel solve.
   uint32_t max_parallelism = 0;
   /// Cross-session shared worker pool. Null (default) keeps the session's
   /// private, lazily spawned pool — single-session behavior exactly.
@@ -332,8 +333,10 @@ class MinerSession {
   Result<PipelineCache::Snapshot> PreparePipeline(const MiningRequest& request,
                                                   bool need_ga, bool* reused);
 
-  // True when `request`'s solve path can consume the shared pool (the
-  // intra-parallelism knob is set and a path exists that honors it).
+  // True when `request`'s solve path can consume the shared pool: a builtin
+  // "dcsad" top-1 solve (DCSGreedy's two candidate peels, bounded by the
+  // session budget), or a GA solve whose intra-parallelism knob is set and
+  // that has a path honoring it.
   static bool WantsIntraParallelism(const MiningRequest& request);
 
   // True when the request needs only the builtin average-degree solve, so

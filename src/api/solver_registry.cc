@@ -15,7 +15,8 @@ namespace dcs {
 namespace {
 
 // Builtin "dcsad": DCSGreedy (Algorithm 2) for top_k == 1, iterated
-// peel-and-remove (core/topk.h) beyond.
+// peel-and-remove (core/topk.h) beyond. DCSGreedy's two candidate peels take
+// the pool when the session's budget grants a second thread.
 Result<std::vector<RankedSubgraph>> SolveDcsadBuiltin(
     const SolverContext& context, const MiningRequest& request,
     MiningTelemetry* telemetry) {
@@ -24,9 +25,10 @@ Result<std::vector<RankedSubgraph>> SolveDcsadBuiltin(
     return Status::Internal("dcsad solver invoked without a difference graph");
   }
   const Graph& gd = *context.difference;
+  ThreadPool* pool = context.parallelism_budget >= 2 ? context.pool : nullptr;
   std::vector<RankedSubgraph> out;
   if (request.top_k == 1) {
-    DCS_ASSIGN_OR_RETURN(DcsadResult best, RunDcsGreedy(gd));
+    DCS_ASSIGN_OR_RETURN(DcsadResult best, RunDcsGreedy(gd, pool));
     if (best.density > request.min_density) {
       RankedSubgraph ranked;
       ranked.vertices = std::move(best.subset);
@@ -42,7 +44,7 @@ Result<std::vector<RankedSubgraph>> SolveDcsadBuiltin(
   options.k = request.top_k;
   options.min_density = request.min_density;
   DCS_ASSIGN_OR_RETURN(std::vector<RankedDcsad> rounds,
-                       MineTopKDcsad(gd, options));
+                       MineTopKDcsad(gd, options, pool));
   out.reserve(rounds.size());
   for (RankedDcsad& round : rounds) {
     RankedSubgraph ranked;

@@ -58,8 +58,10 @@ struct SolverContext {
   /// null (solvers must degrade to sequential or spawn transiently).
   ThreadPool* pool = nullptr;
   /// Intra-request worker budget the session grants this solve (>= 1):
-  /// the session's whole thread budget. Solvers honor it when the request's
-  /// own parallelism knob says "auto" (0).
+  /// the session's whole thread budget. The builtin "dcsga" solver honors it
+  /// when the request's own parallelism knob says "auto" (0); the builtin
+  /// "dcsad" solver runs DCSGreedy's two peels on `pool` only when it is 2
+  /// or more.
   uint32_t parallelism_budget = 1;
   /// Previous solution's support for warm starting; empty unless the request
   /// opted in and the session has one.

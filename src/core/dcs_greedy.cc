@@ -2,15 +2,16 @@
 
 #include <algorithm>
 
-#include "densest/peel.h"
+#include "core/kernels.h"
 #include "graph/components.h"
 #include "graph/difference.h"
 #include "graph/stats.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace dcs {
 
-Result<DcsadResult> RunDcsGreedy(const Graph& gd) {
+Result<DcsadResult> RunDcsGreedy(const Graph& gd, ThreadPool* pool) {
   const VertexId n = gd.NumVertices();
   if (n == 0) return Status::InvalidArgument("empty graph");
 
@@ -36,18 +37,33 @@ Result<DcsadResult> RunDcsGreedy(const Graph& gd) {
   result.candidate_densities[0] = heaviest.weight;
   double best_density = heaviest.weight;
 
-  // Candidate 2: greedy peel of GD itself.
-  const PeelResult peel_gd = GreedyPeel(gd);
+  // Candidates 2 and 3: greedy peels of GD and of GD+. They are independent,
+  // so a pool runs them side by side.
+  PeelResult peel_gd;
+  PeelResult peel_gd_plus;
+  const auto peel = [&](size_t candidate) {
+    if (candidate == 0) {
+      peel_gd = GreedyPeelHeap(gd);
+    } else {
+      peel_gd_plus = GreedyPeelHeap(gd, /*positive_edges_only=*/true);
+    }
+  };
+  if (pool != nullptr && pool->concurrency() >= 2 &&
+      n + gd.NumEdges() >= kDcsGreedyPooledMinSize) {
+    pool->RunTasks(2, peel);
+  } else {
+    peel(0);
+    peel(1);
+  }
+
   result.candidate_densities[1] = peel_gd.density;
   if (peel_gd.density > best_density) {
     best_density = peel_gd.density;
     best = peel_gd.subset;
   }
 
-  // Candidate 3: greedy peel of GD+, evaluated under ρ_D. Its ρ_{D+} value
-  // also powers the Theorem 2 ratio bound.
-  const Graph gd_plus = gd.PositivePart();
-  const PeelResult peel_gd_plus = GreedyPeel(gd_plus);
+  // Candidate 3 is evaluated under ρ_D. Its ρ_{D+} value also powers the
+  // Theorem 2 ratio bound.
   const double candidate3_in_gd = AverageDegreeDensity(gd, peel_gd_plus.subset);
   result.candidate_densities[2] = candidate3_in_gd;
   if (candidate3_in_gd > best_density) {

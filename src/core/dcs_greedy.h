@@ -9,16 +9,30 @@
 // then, if the winner is disconnected in GD, its best-density connected
 // component (Property 1). It also reports the data-dependent ratio
 // β = 2·ρ_{D+}(S2)/ρ_D(S) of Theorem 2: the optimum is provably ≤ β·ρ_D(S).
+//
+// Both peels run on GreedyPeelHeap (core/kernels.h), the heap twin of the
+// segment-tree GreedyPeel; GD+ is peeled in place from GD's rows, never
+// copied. Given a pool, the two peels run as two pool tasks on graphs large
+// enough to pay for the dispatch. Every DcsadResult field is bit-identical
+// to the sequential reference composition either way.
 
 #ifndef DCS_CORE_DCS_GREEDY_H_
 #define DCS_CORE_DCS_GREEDY_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "graph/graph.h"
 #include "util/status.h"
 
 namespace dcs {
+
+class ThreadPool;  // util/thread_pool.h
+
+/// Smallest |V| + |E| of GD for which RunDcsGreedy runs its two candidate
+/// peels as two pool tasks. Below it one pool dispatch costs more than the
+/// overlap saves (bench_micro_kernels' peel_pair rows).
+inline constexpr size_t kDcsGreedyPooledMinSize = 2048;
 
 /// Outcome of DCSGreedy.
 struct DcsadResult {
@@ -41,8 +55,11 @@ struct DcsadResult {
 /// \brief Runs Algorithm 2 on a prebuilt difference graph GD.
 ///
 /// Accepts any signed weighted graph (§III-D generalization). Fails only on
-/// an empty vertex set.
-Result<DcsadResult> RunDcsGreedy(const Graph& gd);
+/// an empty vertex set. With a `pool` of at least two slots and
+/// |V| + |E| ≥ kDcsGreedyPooledMinSize, the GD and GD+ peels run as two
+/// tasks on it (a pool.dispatch fault then throws out of RunTasks); the
+/// result is bit-identical to the sequential run.
+Result<DcsadResult> RunDcsGreedy(const Graph& gd, ThreadPool* pool = nullptr);
 
 /// \brief Convenience overload: builds GD = G2 − G1 first.
 Result<DcsadResult> RunDcsGreedy(const Graph& g1, const Graph& g2);

@@ -514,6 +514,200 @@ void SeedOrderSort(const std::vector<double>& mu,
 }
 
 // ---------------------------------------------------------------------------
+// Greedy peel
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// One heap slot: a vertex and its current induced degree, kept side by side
+// so a sift step compares slots without a second lookup.
+struct PeelSlot {
+  double degree;
+  VertexId id;
+};
+
+// The segment tree's argmin order: smaller degree first, equal degrees (==,
+// so −0 and +0 tie) to the smaller id. Ids are distinct, so it is total.
+// Bitwise, not short-circuit, so a child pick compiles without a branch.
+inline bool PeelBefore(const PeelSlot& a, const PeelSlot& b) {
+  return (a.degree < b.degree) | ((a.degree == b.degree) & (a.id < b.id));
+}
+
+// Indexed binary min-heap over PeelSlot; where_[v] is v's slot, or kGone
+// once v was popped (or never entered). slots_[size_] holds a sentinel that
+// orders after every vertex, so a node's right child can always be read.
+class PeelHeap {
+ public:
+  static constexpr uint32_t kGone = std::numeric_limits<uint32_t>::max();
+
+  PeelHeap(std::vector<PeelSlot> slots, VertexId n)
+      : slots_(std::move(slots)),
+        size_(static_cast<uint32_t>(slots_.size())),
+        where_(n, kGone) {
+    slots_.push_back(kSentinel);
+    for (uint32_t i = 0; i < size_; ++i) where_[slots_[i].id] = i;
+    for (uint32_t i = size_ / 2; i-- > 0;) SiftDown(i);
+  }
+
+  bool empty() const { return size_ == 0; }
+  const PeelSlot& top() const { return slots_.front(); }
+
+  // Removes the top: the hole walks down the smaller children to a leaf,
+  // and the last slot fills it from there (Floyd), one compare per level.
+  void Pop() {
+    where_[slots_.front().id] = kGone;
+    const PeelSlot last = slots_[--size_];
+    slots_[size_] = kSentinel;
+    if (size_ == 0) return;
+    uint32_t hole = 0;
+    for (uint32_t child = 1; child < size_; child = 2 * hole + 1) {
+      child += PeelBefore(slots_[child + 1], slots_[child]) ? 1 : 0;
+      Place(hole, slots_[child]);
+      hole = child;
+    }
+    Place(hole, last);
+    SiftUp(hole);
+  }
+
+  // degree[v] += delta for a queued v; a no-op once v was popped, like the
+  // reference's Add on an erased leaf. delta is a non-zero edge weight, so
+  // the rounded sum moves at most in delta's direction.
+  void Add(VertexId v, double delta) {
+    const uint32_t i = where_[v];
+    if (i == kGone) return;
+    slots_[i].degree += delta;
+    if (delta > 0.0) {
+      SiftDown(i);
+    } else {
+      SiftUp(i);
+    }
+  }
+
+ private:
+  static constexpr PeelSlot kSentinel = {
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<VertexId>::max()};
+
+  void Place(uint32_t i, const PeelSlot& slot) {
+    slots_[i] = slot;
+    where_[slot.id] = i;
+  }
+
+  void SiftUp(uint32_t i) {
+    const PeelSlot moving = slots_[i];
+    while (i > 0) {
+      const uint32_t parent = (i - 1) / 2;
+      if (!PeelBefore(moving, slots_[parent])) break;
+      Place(i, slots_[parent]);
+      i = parent;
+    }
+    Place(i, moving);
+  }
+
+  void SiftDown(uint32_t i) {
+    const PeelSlot moving = slots_[i];
+    for (uint32_t child = 2 * i + 1; child < size_; child = 2 * i + 1) {
+      child += PeelBefore(slots_[child + 1], slots_[child]) ? 1 : 0;
+      if (!PeelBefore(slots_[child], moving)) break;
+      Place(i, slots_[child]);
+      i = child;
+    }
+    Place(i, moving);
+  }
+
+  std::vector<PeelSlot> slots_;
+  uint32_t size_;
+  std::vector<uint32_t> where_;
+};
+
+template <bool kPositiveEdgesOnly>
+inline bool KeptEdge(const Neighbor& nb) {
+  return !kPositiveEdgesOnly || nb.weight > 0.0;
+}
+
+template <bool kPositiveEdgesOnly>
+PeelResult PeelWithHeap(const Graph& graph) {
+  const VertexId n = graph.NumVertices();
+  PeelResult result;
+  if (n == 0) return result;
+
+  // Degrees are summed in row order and W(S) in id order, edgeless vertices
+  // included, exactly as the reference sums them.
+  std::vector<PeelSlot> slots;
+  slots.reserve(n);
+  std::vector<VertexId> edgeless;  // ascending ids, degree 0.0 throughout
+  double total_degree = 0.0;
+  for (VertexId v = 0; v < n; ++v) {
+    double degree = 0.0;
+    bool has_edge = false;
+    for (const Neighbor& nb : graph.NeighborsOf(v)) {
+      if (KeptEdge<kPositiveEdgesOnly>(nb)) {
+        degree += nb.weight;
+        has_edge = true;
+      }
+    }
+    total_degree += degree;
+    if (has_edge) {
+      slots.push_back(PeelSlot{degree, v});
+    } else {
+      edgeless.push_back(v);
+    }
+  }
+  PeelHeap heap(std::move(slots), n);
+  size_t next_edgeless = 0;
+  // Pops the (degree, id)-first remaining vertex: the heap top or the side
+  // stream's head, whichever PeelBefore puts first.
+  const auto pop = [&](double* degree) {
+    if (next_edgeless < edgeless.size() &&
+        (heap.empty() ||
+         PeelBefore(PeelSlot{0.0, edgeless[next_edgeless]}, heap.top()))) {
+      *degree = 0.0;
+      return edgeless[next_edgeless++];
+    }
+    const PeelSlot top = heap.top();
+    heap.Pop();
+    *degree = top.degree;
+    return top.id;
+  };
+
+  double best_density = total_degree / static_cast<double>(n);
+  size_t best_removed = 0;
+  result.peel_order.reserve(n);
+  for (VertexId remaining = n; remaining > 1; --remaining) {
+    double degree = 0.0;
+    const VertexId victim = pop(&degree);
+    total_degree -= 2.0 * degree;
+    result.peel_order.push_back(victim);
+    for (const Neighbor& nb : graph.NeighborsOf(victim)) {
+      if (KeptEdge<kPositiveEdgesOnly>(nb)) heap.Add(nb.to, -nb.weight);
+    }
+    const double density = total_degree / static_cast<double>(remaining - 1);
+    if (density > best_density) {
+      best_density = density;
+      best_removed = result.peel_order.size();
+    }
+  }
+  double last_degree = 0.0;
+  result.peel_order.push_back(pop(&last_degree));
+
+  result.density = best_density;
+  std::vector<char> in_best(n, 1);
+  for (size_t t = 0; t < best_removed; ++t) in_best[result.peel_order[t]] = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (in_best[v]) result.subset.push_back(v);
+  }
+  return result;
+}
+
+}  // namespace
+
+PeelResult GreedyPeelHeap(const Graph& graph, bool positive_edges_only) {
+  Bump(Tls(), kIdxScalarCalls, 1);
+  return positive_edges_only ? PeelWithHeap<true>(graph)
+                             : PeelWithHeap<false>(graph);
+}
+
+// ---------------------------------------------------------------------------
 // Graph-producing kernels
 // ---------------------------------------------------------------------------
 

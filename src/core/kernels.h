@@ -1,8 +1,9 @@
 // The measured kernel layer: the hot loops every DCSGA solve runs —
 // difference-graph row merge, discretize map, GD+ compaction, dx (affinity)
 // accumulation, gradient-extremes scan, support reduction and the smart-init
-// seed-order sort — with SIMD or memory-layout variants only where they
-// were measured to beat scalar on the library's path.
+// seed-order sort — plus DCSGreedy's candidate peel, with SIMD,
+// data-structure or memory-layout variants only where they were measured to
+// beat the reference on the library's path.
 //
 // Which kernels dispatch on the ISA:
 //  * AVX2 vs scalar: DiscretizeMapPacked, ScanGradientExtremes (candidate
@@ -10,7 +11,7 @@
 //  * Scalar only: AxpyScatter and SupportReduce, whose AVX2 variants
 //    measured at or below the ordered loops in bench_micro_kernels.
 //    BuildDifferenceGraph and PositivePart are layout rewrites with no ISA
-//    split.
+//    split; GreedyPeelHeap swaps the reference's segment tree for a heap.
 //
 // Exactness contract: every kernel is *bit-identical* to the scalar
 // reference it replaced, on every ISA and at every thread count.
@@ -36,6 +37,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "densest/peel.h"
 #include "graph/difference.h"
 #include "graph/graph.h"
 #include "util/status.h"
@@ -145,6 +147,23 @@ double StagedRowLookup(const VertexId* targets, const double* weights,
 /// paths return the same order for every NaN-free input.
 void SeedOrderSort(const std::vector<double>& mu,
                    std::vector<VertexId>* order);
+
+/// \brief Kernel twin of GreedyPeel (densest/peel.h), the candidate peel
+/// DCSGreedy runs twice per solve. Same peel: repeatedly remove the vertex
+/// of minimum current weighted degree, ties to the smaller id, and keep the
+/// best-density prefix. The reference finds the minimum with a min segment
+/// tree; the twin keeps an indexed binary min-heap keyed on (degree, id),
+/// whose order is exactly the tree's `<=` pull. A vertex with no kept edge
+/// has degree 0.0 for the whole peel, so it stays out of the heap in an
+/// id-ordered side stream that is merged in at pop time.
+///
+/// With `positive_edges_only` the peel reads only the strictly positive
+/// entries of `graph`'s rows — GD+ peeled in place, with the row-order
+/// degree sums and updates of GreedyPeel(graph.PositivePart()) and no copy.
+///
+/// Bit-identical to GreedyPeel(graph) (resp. GreedyPeel(graph.
+/// PositivePart())): the same peel_order, subset and density bits.
+PeelResult GreedyPeelHeap(const Graph& graph, bool positive_edges_only = false);
 
 /// \brief The graph-producing kernels. A friend of Graph so the fast paths
 /// can emit CSR arrays directly (two-pass / single-pass construction)

@@ -8,13 +8,13 @@
 namespace dcs {
 
 Result<std::vector<RankedDcsad>> MineTopKDcsad(
-    const Graph& gd, const TopkDcsadOptions& options) {
+    const Graph& gd, const TopkDcsadOptions& options, ThreadPool* pool) {
   if (gd.NumVertices() == 0) return Status::InvalidArgument("empty graph");
   std::vector<RankedDcsad> results;
   std::vector<char> removed(gd.NumVertices(), 0);
   Graph remaining = gd;
   for (uint32_t round = 0; round < options.k; ++round) {
-    DCS_ASSIGN_OR_RETURN(DcsadResult best, RunDcsGreedy(remaining));
+    DCS_ASSIGN_OR_RETURN(DcsadResult best, RunDcsGreedy(remaining, pool));
     if (best.density <= options.min_density) break;
     RankedDcsad ranked;
     ranked.subset = best.subset;

@@ -42,9 +42,11 @@ struct RankedDcsad {
 /// \brief Mines up to k vertex-disjoint average-degree contrast subgraphs by
 /// iterated DCSGreedy + vertex removal. Results are ordered by discovery
 /// round (non-increasing density in practice, though peeling does not
-/// guarantee monotonicity).
+/// guarantee monotonicity). Each round's RunDcsGreedy gets `pool` (see
+/// core/dcs_greedy.h); the results are bit-identical with or without it.
 Result<std::vector<RankedDcsad>> MineTopKDcsad(
-    const Graph& gd, const TopkDcsadOptions& options = {});
+    const Graph& gd, const TopkDcsadOptions& options = {},
+    ThreadPool* pool = nullptr);
 
 /// Options for the DCSGA harvest.
 struct TopkDcsgaOptions {

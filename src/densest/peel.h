@@ -11,6 +11,11 @@
 // algorithm can do better than O(n^{1−ε}) there.
 //
 // Complexity: O((n + m) log n) using a min segment tree over current degrees.
+//
+// This segment-tree peel is the reference implementation. DCSGreedy runs
+// its kernel twin, GreedyPeelHeap (core/kernels.h), which must return the
+// same peel_order, subset and density bits; the tests, the paper-table
+// drivers and bench_micro_kernels call this one.
 
 #ifndef DCS_DENSEST_PEEL_H_
 #define DCS_DENSEST_PEEL_H_

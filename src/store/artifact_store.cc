@@ -398,18 +398,23 @@ void ArtifactStore::WriterLoop() {
       pending_writes_.pop_front();
       writer_busy_ = true;
     }
-    const Status status = PutPipeline(write.key, *write.pipeline);
+    const std::string payload = SerializePipeline(write.key, *write.pipeline);
     {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      writer_busy_ = false;
+      // A failed write-back (post-retry) is recorded, never dropped, and in
+      // the same critical section as its append: a stats() reader that
+      // waited for the append sees its outcome. The counter and retained
+      // Status are what Flush() and the session degradation ladder observe.
+      std::lock_guard<std::mutex> lock(mutex_);
+      const Status status =
+          AppendLocked(kPipelineRecord, write.key.Hash(), payload);
       if (!status.ok()) {
-        // A failed write-back (post-retry) is recorded, never dropped: the
-        // counter and retained Status are what Flush() and the session
-        // degradation ladder observe.
-        std::lock_guard<std::mutex> stats_lock(mutex_);
         ++write_errors_;
         last_write_error_ = status;
       }
+    }
+    {
+      std::lock_guard<std::mutex> lock(queue_mutex_);
+      writer_busy_ = false;
       if (pending_writes_.empty()) queue_idle_cv_.notify_all();
     }
   }

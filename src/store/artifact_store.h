@@ -231,7 +231,8 @@ class ArtifactStore {
   // append truncates the rot. Mutex held.
   Status ReadPayloadLocked(const ArtifactRecordInfo& entry,
                            std::vector<uint8_t>* payload);
-  // Background thread: drains pending_writes_ through PutPipeline.
+  // Background thread: drains pending_writes_, appending each under mutex_
+  // and counting a failure in the same critical section.
   void WriterLoop();
 
   const std::string path_;

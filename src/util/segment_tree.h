@@ -5,6 +5,10 @@
 // weighted degree of every still-present vertex and repeatedly extracts the
 // vertex of minimum degree while supporting degree updates for the removed
 // vertex's neighbors. Deleted positions are set to +infinity.
+//
+// It now backs the reference peel (densest/peel.cc) only: the library's
+// DCSGreedy peels with an indexed heap (GreedyPeelHeap in core/kernels.h)
+// whose (degree, id) order reproduces this tree's smallest-index argmin.
 
 #ifndef DCS_UTIL_SEGMENT_TREE_H_
 #define DCS_UTIL_SEGMENT_TREE_H_

@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include "densest/exact.h"
+#include "densest/peel.h"
 #include "gen/random_graphs.h"
 #include "graph/components.h"
 #include "graph/stats.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dcs {
 namespace {
@@ -125,6 +129,56 @@ TEST_P(DcsGreedyOracleTest, NeverExceedsExactAndRatioBoundHolds) {
   if (greedy->density > 0.0) {
     EXPECT_LE(exact->density,
               greedy->ratio_bound * greedy->density + 1e-6);
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameDcsad(const DcsadResult& want, const DcsadResult& got,
+                     const std::string& label) {
+  EXPECT_EQ(got.subset, want.subset) << label;
+  EXPECT_TRUE(SameBits(got.density, want.density)) << label;
+  EXPECT_TRUE(SameBits(got.ratio_bound, want.ratio_bound)) << label;
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_TRUE(SameBits(got.candidate_densities[c],
+                         want.candidate_densities[c]))
+        << label << " candidate " << c;
+  }
+  EXPECT_EQ(got.component_refined, want.component_refined) << label;
+}
+
+// Every DcsadResult field is the same with and without a pool, and the
+// peel candidates carry the segment-tree reference's bits. The 13-vertex
+// oracle graph stays below the pooled crossover; the second graph is above
+// it, so the two peels really run as pool tasks.
+TEST_P(DcsGreedyOracleTest, PooledRunMatchesSequentialAndReferencePeels) {
+  ThreadPool pool(1);
+  Rng rng(GetParam());
+  Result<Graph> small = RandomSignedGraph(13, 34, 0.6, 0.5, 4.0, &rng);
+  Result<Graph> large = RandomSignedGraph(1500, 4000, 0.6, 0.5, 4.0, &rng);
+  ASSERT_TRUE(small.ok() && large.ok());
+  ASSERT_GE(large->NumVertices() + large->NumEdges(), kDcsGreedyPooledMinSize);
+  for (const Graph* gd : {&*small, &*large}) {
+    const std::string label = "n=" + std::to_string(gd->NumVertices());
+    Result<DcsadResult> sequential = RunDcsGreedy(*gd);
+    Result<DcsadResult> pooled = RunDcsGreedy(*gd, &pool);
+    ASSERT_TRUE(sequential.ok() && pooled.ok());
+    ExpectSameDcsad(*sequential, *pooled, label);
+    if (sequential->density == 0.0) continue;  // no positive edge: no peels
+    const PeelResult reference_gd = GreedyPeel(*gd);
+    const PeelResult reference_plus = GreedyPeel(gd->PositivePart());
+    EXPECT_TRUE(SameBits(sequential->candidate_densities[1],
+                         reference_gd.density))
+        << label;
+    EXPECT_TRUE(SameBits(
+        sequential->candidate_densities[2],
+        AverageDegreeDensity(*gd, reference_plus.subset)))
+        << label;
+    EXPECT_TRUE(SameBits(sequential->ratio_bound,
+                         2.0 * reference_plus.density / sequential->density))
+        << label;
   }
 }
 

@@ -13,10 +13,15 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/kernels.h"
 #include "core/newsea.h"
+#include "densest/peel.h"
 #include "gen/random_graphs.h"
 #include "graph/difference.h"
 #include "graph/graph.h"
@@ -434,6 +439,93 @@ TEST(GraphKernelsTest, PositivePartTwinMatchesReference) {
   const Graph mixed = MakeGraph(5, {{0, 1, 3.0}, {0, 3, -1.0}, {3, 4, 2.0}});
   ExpectGraphsBitIdentical(mixed.PositivePart(),
                            GraphKernels::PositivePart(mixed));
+}
+
+// --- Greedy peel: heap twin vs segment-tree reference ----------------------
+
+void ExpectPeelsBitIdentical(const PeelResult& want, const PeelResult& got,
+                             const std::string& label) {
+  EXPECT_EQ(got.peel_order, want.peel_order) << label;
+  EXPECT_EQ(got.subset, want.subset) << label;
+  EXPECT_TRUE(SameBits(got.density, want.density))
+      << label << ": " << got.density << " vs " << want.density;
+}
+
+// The twin on GD against GreedyPeel(GD), and in positive_edges_only mode
+// against GreedyPeel(GD.PositivePart()).
+void ExpectPeelTwinMatchesReference(const Graph& gd, const std::string& label) {
+  ExpectPeelsBitIdentical(GreedyPeel(gd), GreedyPeelHeap(gd), label + " GD");
+  ExpectPeelsBitIdentical(GreedyPeel(gd.PositivePart()),
+                          GreedyPeelHeap(gd, /*positive_edges_only=*/true),
+                          label + " GD+");
+}
+
+// Weights drawn from {±1, ±2}, so degrees collide constantly and the
+// smaller-id tie-break decides most pops.
+Graph TiedWeightGraph(VertexId n, size_t m, uint64_t seed) {
+  Rng rng(seed);
+  std::set<std::pair<VertexId, VertexId>> seen;
+  std::vector<std::tuple<VertexId, VertexId, double>> edges;
+  while (edges.size() < m) {
+    VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+    VertexId v = static_cast<VertexId>(rng.NextBounded(n));
+    if (u == v) continue;
+    if (u > v) std::swap(u, v);
+    if (!seen.insert({u, v}).second) continue;
+    const double magnitude = 1.0 + static_cast<double>(rng.NextBounded(2));
+    edges.emplace_back(u, v, rng.NextBounded(2) == 0 ? magnitude : -magnitude);
+  }
+  return MakeGraph(n, edges);
+}
+
+TEST(GreedyPeelTwinTest, MatchesReferenceOnRandomSignedGraphs) {
+  for (const uint64_t seed : {3u, 19u, 58u, 101u}) {
+    Rng rng(seed);
+    Result<Graph> dense = RandomSignedGraph(300, 2400, 0.6, 0.5, 4.0, &rng);
+    ASSERT_TRUE(dense.ok());
+    ExpectPeelTwinMatchesReference(*dense, "dense seed " + std::to_string(seed));
+    // Fewer edges than vertices: many vertices have no edge at all, more
+    // have no positive one.
+    Result<Graph> sparse = RandomSignedGraph(400, 180, 0.5, 0.5, 4.0, &rng);
+    ASSERT_TRUE(sparse.ok());
+    ExpectPeelTwinMatchesReference(*sparse,
+                                   "sparse seed " + std::to_string(seed));
+  }
+}
+
+TEST(GreedyPeelTwinTest, MatchesReferenceUnderDegreeTies) {
+  for (const uint64_t seed : {5u, 6u, 7u}) {
+    ExpectPeelTwinMatchesReference(TiedWeightGraph(120, 300, seed),
+                                   "tied seed " + std::to_string(seed));
+    ExpectPeelTwinMatchesReference(TiedWeightGraph(200, 120, seed),
+                                   "tied sparse seed " + std::to_string(seed));
+  }
+}
+
+TEST(GreedyPeelTwinTest, MatchesReferenceOnEdgeCases) {
+  ExpectPeelTwinMatchesReference(Graph(0), "empty");
+  ExpectPeelTwinMatchesReference(Graph(1), "one vertex");
+  ExpectPeelTwinMatchesReference(Graph(6), "edgeless");
+  ExpectPeelTwinMatchesReference(
+      MakeGraph(5, {{0, 1, -2.0}, {1, 2, -0.5}, {2, 3, -1.0}}),
+      "all negative");
+  // Vertex 2's and 4's rows are all negative; 5 and 6 are isolated.
+  ExpectPeelTwinMatchesReference(
+      MakeGraph(7, {{0, 1, 3.0}, {0, 2, -1.0}, {1, 2, -2.0}, {1, 3, 1.0},
+                    {2, 4, -1.5}, {3, 4, -0.5}}),
+      "negative rows");
+  ExpectPeelTwinMatchesReference(MakeGraph(2, {{0, 1, 1.0}}), "one edge");
+  ExpectPeelTwinMatchesReference(::dcs::testing::Fig1Gd(), "Fig. 1");
+}
+
+TEST(GreedyPeelTwinTest, PositiveModeMatchesPeelOfPositivePart) {
+  // The GD+ peel read in place must equal the twin run on the copy too.
+  Rng rng(77);
+  Result<Graph> gd = RandomSignedGraph(500, 3000, 0.5, 0.5, 4.0, &rng);
+  ASSERT_TRUE(gd.ok());
+  ExpectPeelsBitIdentical(GreedyPeelHeap(gd->PositivePart()),
+                          GreedyPeelHeap(*gd, /*positive_edges_only=*/true),
+                          "copy vs in place");
 }
 
 // --- End-to-end: solver bit-identity across ISA × thread count -------------

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "gen/random_graphs.h"
 #include "graph/stats.h"
 #include "test_util.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace dcs {
 namespace {
@@ -89,6 +91,32 @@ TEST(TopkDcsadTest, AllNegativeYieldsNothing) {
   auto results = MineTopKDcsad(gd);
   ASSERT_TRUE(results.ok());
   EXPECT_TRUE(results->empty());
+}
+
+TEST(TopkDcsadTest, PooledRoundsMatchSequentialBitForBit) {
+  // Large enough that every round's DCSGreedy runs its peels on the pool.
+  Rng rng(2024);
+  Result<Graph> gd = RandomSignedGraph(1500, 5000, 0.6, 0.5, 4.0, &rng);
+  ASSERT_TRUE(gd.ok());
+  ThreadPool pool(1);
+  TopkDcsadOptions options;
+  options.k = 4;
+  auto sequential = MineTopKDcsad(*gd, options);
+  auto pooled = MineTopKDcsad(*gd, options, &pool);
+  ASSERT_TRUE(sequential.ok() && pooled.ok());
+  ASSERT_EQ(pooled->size(), sequential->size());
+  ASSERT_GE(sequential->size(), 2u);
+  for (size_t i = 0; i < sequential->size(); ++i) {
+    const RankedDcsad& want = (*sequential)[i];
+    const RankedDcsad& got = (*pooled)[i];
+    EXPECT_EQ(got.subset, want.subset) << "round " << i;
+    EXPECT_EQ(std::memcmp(&got.density, &want.density, sizeof(double)), 0)
+        << "round " << i;
+    EXPECT_EQ(std::memcmp(&got.ratio_bound, &want.ratio_bound,
+                          sizeof(double)),
+              0)
+        << "round " << i;
+  }
 }
 
 TEST(TopkDcsgaTest, FindsAllThreeCliquesRanked) {

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "gen/coauthor.h"
 #include "test_util.h"
 #include "util/checksum.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 
 namespace dcs {
@@ -185,6 +187,46 @@ TEST(ArtifactStoreTest, AsyncWriteBackLandsAfterFlush) {
   Result<PreparedPipeline> loaded = reopened->LoadPipeline(key);
   ASSERT_TRUE(loaded.ok());
   ExpectPipelinesBitIdentical(*loaded, pipeline);
+}
+
+// A failed async write-back is counted in the critical section of its
+// append. Ordered by the fault site's hit count, not a timer: once append h
+// has hit the site, the writer holds the store mutex through the injected
+// delay, so a stats() call made then waits for that append (or a later
+// one) and must count at least h failures. Eight queued appends give the
+// race eight chances to show.
+TEST(ArtifactStoreTest, StatsWaitingOnAFailingWriteBackSeesItCounted) {
+  constexpr uint64_t kAppends = 8;
+  const std::string path = StorePath("counted_failure");
+  std::filesystem::remove(path);
+  const auto [key, pipeline] = MakeFig1Pipeline();
+  ArtifactStoreOptions options;
+  options.max_io_retries = 0;  // one attempt per append: one hit, one failure
+  Result<std::shared_ptr<ArtifactStore>> opened =
+      ArtifactStore::Open(path, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::shared_ptr<ArtifactStore> store = std::move(*opened);
+  ASSERT_TRUE(FaultInjection::Global()
+                  .ArmText("store.append:every=1,delay_ms=20")
+                  .ok());
+  const auto shared = std::make_shared<const PreparedPipeline>(pipeline);
+  for (uint64_t i = 0; i < kAppends; ++i) store->PutPipelineAsync(key, shared);
+  uint64_t seen = 0;
+  while (seen < kAppends) {
+    const uint64_t hits =
+        FaultInjection::Global().hits(fault_sites::kStoreAppend);
+    if (hits == seen) {
+      std::this_thread::yield();
+      continue;
+    }
+    seen = hits;
+    EXPECT_GE(store->stats().write_errors, seen) << "append " << seen;
+  }
+  EXPECT_FALSE(store->Flush().ok());
+  EXPECT_EQ(store->stats().write_errors, kAppends);
+  FaultInjection::Global().Reset();
+  store.reset();
+  std::filesystem::remove(path);
 }
 
 TEST(ArtifactStoreTest, WarmBootHydratesMatchingFingerprint) {

@@ -21,6 +21,7 @@
 
 #include "api/miner_session.h"
 #include "api/pipeline_cache.h"
+#include "core/dcs_greedy.h"
 #include "gen/random_graphs.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -338,6 +339,89 @@ TEST(MiningServiceStressTest, MultiTenantMixedLoadStaysExactPerTenant) {
     EXPECT_EQ(stats->submitted, kJobsPerTenant);
     EXPECT_EQ(stats->completed + stats->failed + stats->cancelled,
               kJobsPerTenant);
+  }
+}
+
+// DCSGreedy's pooled peels under contention: three tenants on one shared
+// pool submit average-degree and "both" jobs concurrently from three
+// executors, on graphs above the pooled-peel crossover, and every answer
+// must be bit-identical to a sequential session's.
+TEST(MiningServiceStressTest, PooledAverageDegreeSolvesMatchSequentialSessions) {
+  constexpr size_t kTenants = 3;
+  constexpr size_t kJobsPerTenant = 16;
+
+  std::vector<std::pair<Graph, Graph>> pairs;
+  for (size_t t = 0; t < kTenants; ++t) {
+    Rng rng(7300 + t);
+    Result<Graph> g2 = RandomSignedGraph(/*n=*/900, /*m=*/2600,
+                                         /*positive_fraction=*/0.6,
+                                         /*magnitude_lo=*/0.5,
+                                         /*magnitude_hi=*/3.0, &rng);
+    ASSERT_TRUE(g2.ok());
+    ASSERT_GE(g2->NumVertices() + g2->NumEdges(), kDcsGreedyPooledMinSize);
+    pairs.emplace_back(MakeGraph(900, {}), std::move(*g2));
+  }
+
+  std::vector<std::vector<MiningRequest>> scripts(kTenants);
+  std::vector<std::vector<std::string>> expected(kTenants);
+  SessionOptions sequential;
+  sequential.max_parallelism = 1;
+  for (size_t t = 0; t < kTenants; ++t) {
+    Rng rng(7400 + t);
+    MinerSession reference =
+        MustCreate(pairs[t].first, pairs[t].second, sequential);
+    for (size_t i = 0; i < kJobsPerTenant; ++i) {
+      MiningRequest request;
+      request.measure =
+          rng.NextBounded(2) == 0 ? Measure::kAverageDegree : Measure::kBoth;
+      request.alpha = 1.0 + static_cast<double>(rng.NextBounded(3));
+      request.flip = rng.NextBounded(3) == 0;
+      request.ga_solver.parallelism = 0;
+      scripts[t].push_back(request);
+      Result<MiningResponse> mined = reference.Mine(request);
+      ASSERT_TRUE(mined.ok());
+      expected[t].push_back(SerializeSubgraphs(*mined));
+    }
+  }
+
+  MiningServiceOptions options;
+  options.num_executors = 3;
+  options.shared_cache = std::make_shared<PipelineCache>();
+  options.worker_pool = std::make_shared<ThreadPool>(
+      std::max<size_t>(2, ThreadPool::DefaultConcurrency() - 1));
+  MiningService service(options);
+  SessionOptions pooled;
+  pooled.max_parallelism = 4;
+  for (auto& [g1, g2] : pairs) {
+    ASSERT_TRUE(service.AddTenant(MustCreate(g1, g2, pooled)).ok());
+  }
+
+  std::vector<std::vector<JobId>> ids(kTenants);
+  {
+    std::vector<std::thread> submitters;
+    for (size_t t = 0; t < kTenants; ++t) {
+      submitters.emplace_back([&, t] {
+        for (const MiningRequest& request : scripts[t]) {
+          Result<JobId> id = service.Submit(static_cast<TenantId>(t), request);
+          DCS_CHECK(id.ok()) << id.status().ToString();
+          ids[t].push_back(*id);
+        }
+      });
+    }
+    for (std::thread& submitter : submitters) submitter.join();
+  }
+  for (size_t t = 0; t < kTenants; ++t) {
+    for (size_t i = 0; i < kJobsPerTenant; ++i) {
+      Result<JobStatus> status = service.Wait(ids[t][i]);
+      ASSERT_TRUE(status.ok());
+      ASSERT_EQ(status->state, JobState::kDone)
+          << "tenant " << t << " job " << i << ": "
+          << status->failure.ToString();
+      ASSERT_FALSE(status->response.average_degree.empty());
+      EXPECT_EQ(SerializeSubgraphs(status->response), expected[t][i])
+          << "tenant " << t << " job " << i
+          << " diverged from its sequential reference";
+    }
   }
 }
 

@@ -38,6 +38,9 @@ required_multitenant_record=(tenants offered_jobs admitted_jobs shed_jobs
                              tenant0_share deadline_misses bit_identical)
 required_crash_recovery_record=(journal_appends recovered_jobs overhead_pct
                                 recovery_ms bit_identical)
+# `bit_identical` is a correctness field, not a timing: wherever a record
+# carries it, it must read 1 (the fast path matched its reference on every
+# cycle), so a bench that recorded drift fails the schema check.
 # Latency/timing fields must be real, finite and non-negative — a NaN or a
 # negative wall/percentile means the bench's timing math broke, and it used
 # to sail through both validation branches.
@@ -125,6 +128,10 @@ for i, record in enumerate(doc["records"]):
     missing = [k for k in record_keys if k not in record]
     if missing:
         sys.exit(f"check_bench_json: {path}: record #{i} missing keys {missing}")
+    if "bit_identical" in record and record["bit_identical"] != 1:
+        sys.exit(f"check_bench_json: {path}: record #{i} "
+                 f"({record.get('dataset')!r}) has bit_identical = "
+                 f"{record['bit_identical']!r}, expected 1")
     for key in timing_keys:
         if key not in record:
             continue
@@ -167,6 +174,10 @@ EOF
         status=1
       fi
     done
+    if grep -Eq '"bit_identical": *[^1 ]' "$f"; then
+      echo "check_bench_json: $f: a record has bit_identical other than 1" >&2
+      status=1
+    fi
     # Mirror of the python3 branch's timing sanity: printf-style emitters
     # render broken doubles as nan/inf tokens (invalid JSON, which grep
     # alone would happily pass) and negative timings as a leading minus.
